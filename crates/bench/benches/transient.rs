@@ -1,5 +1,5 @@
 //! Before/after benchmarks of the transient simulation kernels: the legacy
-//! full-reassembly kernel versus the factor-once LTI fast path and the
+//! full-reassembly kernel versus the sparse factor-once LTI path and the
 //! split-stamp Newton loop, on the fig4-style RLC-ladder transient and a
 //! characterization-style grid of inverter runs — plus the `AnalysisSession`
 //! scheduling benches (`path_chain_4stage`, `session_wide_batch_16`), which
@@ -106,8 +106,8 @@ fn main() {
     };
 
     // LTI ladder: an ideal ramp driving the segmented line (the far-end
-    // propagation circuit used by `StageReport::far_end`) — the factor-once
-    // fast path.
+    // propagation circuit used by `StageReport::far_end`) — the sparse
+    // factor-once path `Auto` runs for every linear circuit.
     let (ladder, _) = pwl_source_with_rlc_line(
         SourceWaveform::rising_ramp(1.8, 0.0, ps(100.0)),
         0.0,
@@ -182,9 +182,9 @@ fn main() {
 
     // ---- Sparse kernel: past the dense-matrix ceiling --------------------
     // The flagship line at 400 segments (~1200 MNA unknowns): dense
-    // factor-once versus the min-degree sparse LU. This is the circuit size
-    // the sparse kernel exists for; the full-mode JSON records the measured
-    // win, and the smoke run doubles as a CI wall-clock gate.
+    // factor-once versus the min-degree sparse LU, at a size dense LU cannot
+    // reach interactively; the full-mode JSON records the measured win, and
+    // the smoke run doubles as a CI wall-clock gate.
     let sparse_stop = if smoke { ps(200.0) } else { ps(1200.0) };
     let (sparse_ladder, _) = pwl_source_with_rlc_line(
         SourceWaveform::rising_ramp(1.8, 0.0, ps(100.0)),

@@ -18,7 +18,7 @@
 //!   [`SparseLu::factor`] and reused: [`SparseLu::solve_into`] performs the
 //!   allocation-free triangular solves of the factor-once transient kernel,
 //!   and [`SparseLu::refactor`] replays the numeric pass on new values with
-//!   the same pattern (a repeated run of an unchanged topology) without
+//!   the same pattern (the matrix groups of a variation sweep) without
 //!   re-running the ordering or the reachability search.
 //!
 //! Pivot health is observable through [`SparseLu::pivot_extremes`], mirroring
@@ -139,13 +139,6 @@ impl CscMatrix {
         self.values.iter().fold(0.0, |acc, v| acc.max(v.abs()))
     }
 
-    /// Whether `other` has the identical sparsity pattern (dimension, column
-    /// pointers and row indices). When true, a stored factorization of `self`
-    /// can be numerically refreshed for `other` via [`SparseLu::refactor`].
-    pub fn same_pattern(&self, other: &CscMatrix) -> bool {
-        self.n == other.n && self.col_ptr == other.col_ptr && self.row_idx == other.row_idx
-    }
-
     /// Scales every stored value in place, leaving the sparsity pattern
     /// untouched. A same-pattern companion to rebuilding the matrix from
     /// scaled triplets, for sweeps that vary one global factor.
@@ -180,8 +173,8 @@ impl CscMatrix {
     /// pattern** as the one this matrix was assembled from, using a slot map
     /// previously built by [`CscMatrix::triplet_map`]. Duplicate triplets
     /// accumulate, matching [`CscMatrix::from_triplets`] semantics; the
-    /// sparsity pattern (and therefore [`CscMatrix::same_pattern`] /
-    /// [`SparseLu::refactor`] eligibility) is preserved exactly.
+    /// sparsity pattern (and therefore [`SparseLu::refactor`] eligibility) is
+    /// preserved exactly.
     ///
     /// # Panics
     /// Panics if `map.len() != triplets.len()` or a slot is out of bounds.
@@ -271,11 +264,6 @@ impl SparseLu {
     /// Creates an empty factorization; populated by [`SparseLu::factor`].
     pub fn empty() -> SparseLu {
         SparseLu::default()
-    }
-
-    /// Dimension of the factored matrix (0 while empty).
-    pub fn dim(&self) -> usize {
-        self.n
     }
 
     /// Structural nonzeros of the computed factors (L strictly-lower plus U
@@ -442,10 +430,13 @@ impl SparseLu {
     /// the elimination with the stored ordering, pivot sequence and fill
     /// patterns — no symbolic work.
     ///
-    /// The caller is responsible for the pattern actually matching (see
-    /// [`CscMatrix::same_pattern`]); reusing the old pivot sequence on very
-    /// different values can degrade accuracy, which
-    /// [`SparseLu::pivot_extremes`] makes observable.
+    /// The caller is responsible for the pattern actually matching (a
+    /// matrix refreshed by [`CscMatrix::revalue_from_triplets`] does);
+    /// reusing the old pivot sequence on very different values can degrade
+    /// accuracy, which [`SparseLu::pivot_extremes`] makes observable. The
+    /// result also differs in its last bits from a fresh
+    /// [`SparseLu::factor`] of the same matrix whenever a fresh pivot
+    /// search would pick different pivots.
     ///
     /// # Errors
     /// Returns [`SolveError::Singular`] when a reused pivot position becomes
@@ -829,6 +820,10 @@ mod tests {
         (triplets, a)
     }
 
+    fn same_pattern(a: &CscMatrix, b: &CscMatrix) -> bool {
+        a.n == b.n && a.col_ptr == b.col_ptr && a.row_idx == b.row_idx
+    }
+
     fn dense_from_triplets(n: usize, triplets: &[(usize, usize, f64)]) -> DenseMatrix {
         let mut m = DenseMatrix::zeros(n, n);
         for &(r, c, v) in triplets {
@@ -920,7 +915,7 @@ mod tests {
         let scaled: Vec<(usize, usize, f64)> =
             triplets.iter().map(|&(r, c, v)| (r, c, 1.7 * v)).collect();
         let a2 = CscMatrix::from_triplets(60, &scaled);
-        assert!(a.same_pattern(&a2));
+        assert!(same_pattern(&a, &a2));
         lu.refactor(&a2).unwrap();
         let b: Vec<f64> = (0..60).map(|k| (k as f64 * 0.11).cos()).collect();
         let mut x = vec![0.0; 60];
@@ -1002,7 +997,7 @@ mod tests {
             triplets.iter().map(|&(r, c, v)| (r, c, 0.35 * v)).collect();
         let fresh = CscMatrix::from_triplets(40, &scaled);
         a.scale_values(0.35);
-        assert!(a.same_pattern(&fresh));
+        assert!(same_pattern(&a, &fresh));
         for c in 0..40 {
             for r in 0..40 {
                 assert!(
@@ -1025,7 +1020,7 @@ mod tests {
             .collect();
         let fresh = CscMatrix::from_triplets(50, &revalued);
         a.revalue_from_triplets(&map, &revalued);
-        assert!(a.same_pattern(&fresh));
+        assert!(same_pattern(&a, &fresh));
         for c in 0..50 {
             for r in 0..50 {
                 let want = fresh.get(r, c);

@@ -1,16 +1,16 @@
 //! DC operating-point analysis (Newton–Raphson with gmin and step limiting).
 //!
-//! The Newton loop uses the split-stamp scheme: the state-independent stamps
-//! (gmin, resistors, sources, inductor shorts) are assembled once into a
-//! cached matrix/RHS pair, and each iteration copies the cache and adds only
-//! the MOSFET linearizations before refactorizing — the inner loop performs
-//! no allocation.
+//! A linear circuit is solved directly by one sparse LU factorization. The
+//! Newton loop for MOSFET circuits uses the split-stamp scheme: the
+//! state-independent stamps (gmin, resistors, sources, inductor shorts) are
+//! assembled once into a cached matrix/RHS pair, and each iteration copies
+//! the cache and adds only the MOSFET linearizations before refactorizing —
+//! the inner loop performs no allocation.
 
 use rlc_numeric::{CscMatrix, DenseMatrix, LuFactors, SparseLu};
 
 use crate::circuit::Circuit;
 use crate::mna::MnaSystem;
-use crate::transient::SPARSE_AUTO_THRESHOLD;
 use crate::SpiceError;
 
 /// Options controlling the DC Newton loop.
@@ -102,10 +102,9 @@ pub(crate) fn dc_solve_compiled(
     }
 
     // Linear circuits have no Newton iteration to run — the first solve is
-    // exact — and large ones (the DC start of a big transient run) use the
-    // sparse factorization; an unhealthy sparse factorization falls through
-    // to the dense Newton loop below.
-    if system.is_linear() && n >= SPARSE_AUTO_THRESHOLD {
+    // exact — so they take one sparse factorization and solve; an unhealthy
+    // sparse factorization falls through to the dense Newton loop below.
+    if system.is_linear() {
         let mut triplets = Vec::new();
         system.dc_triplets(&mut triplets);
         let csc = CscMatrix::from_triplets(n, &triplets);
@@ -239,9 +238,9 @@ mod tests {
     #[test]
     fn large_linear_dc_uses_sparse_path_and_matches_analytic() {
         // A chain of 151 equal resistors is a uniform divider: the voltage
-        // after k resistors is V * (151 - k) / 151. The system has 152
-        // unknowns, above the sparse threshold, so this exercises the
-        // sparse linear DC solve (one factor + solve, no Newton loop).
+        // after k resistors is V * (151 - k) / 151. The circuit is linear,
+        // so this exercises the sparse linear DC solve (one factor + solve,
+        // no Newton loop).
         let n_res = 151usize;
         let v = 1.8;
         let mut ckt = Circuit::new();

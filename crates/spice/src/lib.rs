@@ -11,9 +11,11 @@
 //! and fixed-step transient analysis with backward-Euler or trapezoidal
 //! companion models.
 //!
-//! The simulator is deliberately simple — dense LU, fixed time step — because
-//! the circuits in this workspace are small (a gate plus a segmented RLC
-//! line) and reproducibility matters more than raw speed.
+//! The simulator is deliberately simple — a fixed time step, sparse LU for
+//! linear circuits and dense LU for the MOSFET Newton loop — because the
+//! circuits in this workspace are small (a gate plus a segmented RLC line)
+//! and reproducibility matters more than raw speed: a run's waveforms depend
+//! on its circuit and options alone.
 //!
 //! ## Example: RC charging through a resistor
 //!
@@ -57,7 +59,7 @@ pub use source::SourceWaveform;
 pub use sweep::{SweepResult, VariationSpec, VariationSweep};
 pub use transient::{
     IntegrationMethod, KernelStrategy, TransientAnalysis, TransientOptions, TransientResult,
-    TransientWorkspace, SPARSE_AUTO_THRESHOLD,
+    TransientWorkspace,
 };
 pub use waveform::Waveform;
 
@@ -70,7 +72,7 @@ pub mod prelude {
     pub use crate::sweep::{SweepResult, VariationSpec, VariationSweep};
     pub use crate::transient::{
         IntegrationMethod, KernelStrategy, TransientAnalysis, TransientOptions, TransientResult,
-        TransientWorkspace, SPARSE_AUTO_THRESHOLD,
+        TransientWorkspace,
     };
     pub use crate::waveform::Waveform;
     pub use crate::SpiceError;

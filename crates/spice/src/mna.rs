@@ -477,27 +477,29 @@ impl MnaSystem {
         prev_x: &[f64],
         prev_cap_currents: &[f64],
     ) -> (DenseMatrix, Vec<f64>) {
-        let n = self.num_unknowns;
-        let mut m = DenseMatrix::zeros(n, n);
-        let mut rhs = vec![0.0; n];
+        let mut m = DenseMatrix::default();
+        let mut rhs = vec![0.0; self.num_unknowns];
         self.stamp_transient_static(&mut m, h, method);
         self.transient_rhs_into(t, h, method, prev_x, prev_cap_currents, &mut rhs);
         self.stamp_mosfets(&mut m, &mut rhs, x_guess);
         (m, rhs)
     }
 
-    /// Stamps the time-invariant part of the transient matrix for a fixed
-    /// step `h`: gmin, resistors, the capacitor/inductor companion
-    /// conductances and the source/inductor branch constraint rows. Under a
-    /// fixed step this matrix never changes, so LTI circuits factor it once
-    /// per run and nonlinear circuits cache it and add only the MOSFET
-    /// stamps per Newton iteration.
+    /// Overwrites `m` (resized to `n x n` and zeroed first, so a reused
+    /// buffer needs no preparation) with the time-invariant part of the
+    /// transient matrix for a fixed step `h`: gmin, resistors, the
+    /// capacitor/inductor companion conductances and the source/inductor
+    /// branch constraint rows. Under a fixed step this matrix never changes,
+    /// so the dense LTI kernel factors it once per run and nonlinear
+    /// circuits cache it and add only the MOSFET stamps per Newton
+    /// iteration.
     pub(crate) fn stamp_transient_static(
         &self,
         m: &mut DenseMatrix,
         h: f64,
         method: CompanionMethod,
     ) {
+        m.resize_zeroed(self.num_unknowns, self.num_unknowns);
         self.stamp_transient_matrix_core(h, method, &mut |i, j, v| m.add_at(i, j, v));
     }
 

@@ -34,7 +34,7 @@ use rlc_numeric::{CscMatrix, DenseMatrix, Diagnostic, LuFactors, SparseLu};
 use crate::circuit::{Circuit, NodeId};
 use crate::dc::{dc_solve_compiled, DcOptions};
 use crate::mna::{CompanionMethod, MnaSystem};
-use crate::transient::{InitialState, TransientOptions, SPARSE_AUTO_THRESHOLD};
+use crate::transient::{InitialState, TransientOptions};
 use crate::waveform::Waveform;
 use crate::SpiceError;
 
@@ -361,8 +361,7 @@ impl VariationSweep {
         // Assembly state shared by every group: the triplet buffer, the CSC
         // matrix and its triplet->slot map (pattern fixed across the sweep),
         // and the sparse factorization whose symbolic analysis is reused via
-        // refactor. Small circuits use the dense factor-once path instead.
-        let use_sparse = n >= SPARSE_AUTO_THRESHOLD;
+        // refactor.
         let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
         let mut csc = CscMatrix::default();
         let mut slot_map: Vec<usize> = Vec::new();
@@ -408,22 +407,18 @@ impl VariationSweep {
             // Factor this group's companion matrix, preferring the sparse
             // symbolic-reuse path and degrading to dense LU on pivot-health
             // failures (mirroring the transient kernel's gate).
-            let mut sparse_ok = false;
-            if use_sparse {
-                sys.transient_triplets(h, method, &mut triplets);
-                let factored = if pattern_ready {
-                    csc.revalue_from_triplets(&slot_map, &triplets);
-                    sparse.refactor(&csc).is_ok() || sparse.factor(&csc).is_ok()
-                } else {
-                    csc = CscMatrix::from_triplets(n, &triplets);
-                    slot_map = csc.triplet_map(&triplets);
-                    pattern_ready = true;
-                    sparse.factor(&csc).is_ok()
-                };
-                sparse_ok = factored && sparse.pivot_extremes().0 >= 1e-9 * csc.max_abs();
-            }
+            sys.transient_triplets(h, method, &mut triplets);
+            let factored = if pattern_ready {
+                csc.revalue_from_triplets(&slot_map, &triplets);
+                sparse.refactor(&csc).is_ok() || sparse.factor(&csc).is_ok()
+            } else {
+                csc = CscMatrix::from_triplets(n, &triplets);
+                slot_map = csc.triplet_map(&triplets);
+                pattern_ready = true;
+                sparse.factor(&csc).is_ok()
+            };
+            let sparse_ok = factored && sparse.pivot_extremes().0 >= 1e-9 * csc.max_abs();
             if !sparse_ok {
-                dense.resize_zeroed(n, n);
                 sys.stamp_transient_static(&mut dense, h, method);
                 dense
                     .factor_into(&mut dense_lu)
@@ -949,22 +944,31 @@ mod tests {
     }
 
     /// Sweep lanes must match hand-rolled independent runs of pre-scaled
-    /// circuits within 1e-9 V — the dense-path (small circuit) case.
+    /// circuits within 1e-9 V — the dense degrade: a floating node carries
+    /// only the gmin stamp, so every group's sparse factorization fails the
+    /// pivot-health gate and the sweep falls back to dense LU.
     #[test]
     fn sweep_matches_independent_runs_dense() {
-        sweep_parity_case(12);
+        sweep_parity_case(12, true);
     }
 
-    /// The sparse-path (>= SPARSE_AUTO_THRESHOLD unknowns) case, which also
-    /// exercises the revalue + refactor symbolic reuse across matrix groups.
+    /// The sparse path, which also exercises the revalue + refactor symbolic
+    /// reuse across matrix groups.
     #[test]
     fn sweep_matches_independent_runs_sparse() {
-        sweep_parity_case(64);
+        sweep_parity_case(64, false);
     }
 
-    fn sweep_parity_case(segments: usize) {
+    fn sweep_parity_case(segments: usize, floating_node: bool) {
+        let ladder = |spec: &VariationSpec| {
+            let mut ckt = scaled_ladder(segments, spec);
+            if floating_node {
+                ckt.node("floating");
+            }
+            ckt
+        };
         let specs = test_specs();
-        let base = scaled_ladder(segments, &VariationSpec::nominal());
+        let base = ladder(&VariationSpec::nominal());
         let probe = far_node(&base, segments);
         let result = VariationSweep::new(options())
             .run(&base, &[probe], &specs)
@@ -973,7 +977,7 @@ mod tests {
         assert_eq!(result.matrix_groups(), 4);
 
         for (i, spec) in specs.iter().enumerate() {
-            let ckt = scaled_ladder(segments, spec);
+            let ckt = ladder(spec);
             let reference = TransientAnalysis::new(options()).run(&ckt).unwrap();
             let want = reference.waveform(far_node(&ckt, segments));
             let got = result.samples(i, 0);

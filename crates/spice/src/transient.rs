@@ -3,16 +3,19 @@
 //! # Kernel strategies
 //!
 //! Under a fixed step the companion-model MNA matrix of a linear (no-MOSFET)
-//! circuit is time-invariant, so the default kernel LU-factorizes it **once
-//! per run** and per time step only rebuilds the right-hand side from the
-//! source waveforms and the capacitor/inductor history before
-//! back-substituting — O(n³) + O(n²)·steps instead of the legacy
-//! O(n³)·steps. Nonlinear circuits use a split-stamp Newton loop: the static
-//! (R/L/C/source) stamps are cached once and each iteration copies the cache
-//! and adds only the MOSFET linearizations. Both kernels run out of a
-//! reusable [`TransientWorkspace`], so the inner loop performs no heap
-//! allocation; the legacy full-reassembly kernel is kept as
-//! [`KernelStrategy::LegacyFull`] for cross-checking and benchmarking.
+//! circuit is time-invariant, so every linear circuit is LU-factorized
+//! **once per run** by the fill-reducing [`SparseLu`], and each time step
+//! only rebuilds the right-hand side from the source waveforms and the
+//! capacitor/inductor history before the triangular solves. Each run factors
+//! afresh, so its waveforms depend on the circuit alone, never on what the
+//! workspace ran before. Nonlinear circuits use a split-stamp Newton loop:
+//! the static (R/L/C/source) stamps are cached once and each iteration
+//! copies the cache and adds only the MOSFET linearizations. All kernels run
+//! out of a reusable [`TransientWorkspace`], so the inner loop performs no
+//! heap allocation. Dense LU serves linear circuits only as the target a
+//! near-singular sparse stamp degrades to, and as the explicit references
+//! ([`KernelStrategy::FactorOnce`], [`KernelStrategy::LegacyFull`]) that
+//! parity tests and benchmarks compare against.
 
 use std::collections::HashMap;
 
@@ -59,34 +62,28 @@ pub enum InitialState {
     UseInitialConditions,
 }
 
-/// MNA unknown count at and above which [`KernelStrategy::Auto`] switches a
-/// linear circuit from the dense factor-once kernel to the sparse one. Below
-/// this size the dense factorization fits in cache and its tighter inner
-/// loop wins; above it the O(n³) dense factor and O(n²) back-substitution
-/// lose to the near-linear sparse path (a ladder row touches ≤ 4 neighbours,
-/// so factor fill stays banded).
-pub const SPARSE_AUTO_THRESHOLD: usize = 128;
-
 /// Which simulation kernel executes the time loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelStrategy {
-    /// Pick automatically: [`KernelStrategy::Sparse`] for linear circuits
-    /// with at least [`SPARSE_AUTO_THRESHOLD`] unknowns,
-    /// [`KernelStrategy::FactorOnce`] for smaller linear circuits,
-    /// [`KernelStrategy::SplitStamp`] otherwise. The default.
+    /// Pick automatically: [`KernelStrategy::Sparse`] for every linear
+    /// circuit, [`KernelStrategy::SplitStamp`] otherwise. The default.
     #[default]
     Auto,
-    /// Factor-once LTI fast path: assemble and LU-factorize the companion
-    /// matrix once, then only rebuild the RHS and back-substitute per step.
-    /// Requires a linear circuit (no MOSFETs).
+    /// Dense factor-once LTI path: assemble and LU-factorize the dense
+    /// companion matrix once, then only rebuild the RHS and back-substitute
+    /// per step. Requires a linear circuit (no MOSFETs). `Auto` never picks
+    /// it: it is the target a near-singular sparse stamp degrades to, and
+    /// the dense reference the sparse kernel is compared against.
     FactorOnce,
     /// Sparse factor-once LTI path: assemble the companion matrix in
     /// compressed-sparse-column form and factorize it once with the
     /// fill-reducing sparse LU ([`rlc_numeric::SparseLu`]); per step only
     /// the RHS is rebuilt and the triangular solves run over the factor
-    /// nonzeros. Requires a linear circuit; near-singular stamps degrade to
-    /// the dense [`KernelStrategy::FactorOnce`] path automatically (the
-    /// executed kernel is recorded in [`TransientResult::strategy`]).
+    /// nonzeros. Every run factors afresh, so a reused workspace yields
+    /// bit-identical waveforms to a fresh one. Requires a linear circuit;
+    /// near-singular stamps degrade to the dense
+    /// [`KernelStrategy::FactorOnce`] path automatically (the executed
+    /// kernel is recorded in [`TransientResult::strategy`]).
     Sparse,
     /// Split-stamp Newton: cache the static (R/L/C/source) stamps once, and
     /// per Newton iteration copy the cache and stamp only the MOSFET
@@ -202,11 +199,9 @@ pub struct TransientWorkspace {
     guess: Vec<f64>,
     cap_currents: Vec<f64>,
     cap_ieq: Vec<f64>,
-    // Sparse-kernel state: the triplet assembly buffer, the assembled CSC
-    // matrix of the previous run (kept for the same-pattern refactor reuse)
-    // and the sparse factorization.
+    // Sparse-kernel state: the triplet assembly buffer and the sparse
+    // factorization.
     triplets: Vec<(usize, usize, f64)>,
-    csc: CscMatrix,
     sparse_lu: SparseLu,
     // Per-device overdrive caches for the MOSFET evaluations.
     eval_caches: Vec<MosfetEvalCache>,
@@ -230,9 +225,9 @@ impl TransientWorkspace {
         Self::default()
     }
 
+    // The dense matrices are left alone: only the dense kernels read them,
+    // and they size them as they stamp.
     fn prepare(&mut self, n: usize, num_capacitors: usize, num_mosfets: usize) {
-        self.matrix.resize_zeroed(n, n);
-        self.static_matrix.resize_zeroed(n, n);
         self.rhs.clear();
         self.rhs.resize(n, 0.0);
         self.rhs_base.clear();
@@ -394,28 +389,14 @@ impl TransientAnalysis {
         let opts = &self.options;
 
         let strategy = match opts.strategy {
-            KernelStrategy::Auto => {
-                if !system.is_linear() {
-                    KernelStrategy::SplitStamp
-                } else if n >= SPARSE_AUTO_THRESHOLD {
-                    KernelStrategy::Sparse
-                } else {
-                    KernelStrategy::FactorOnce
-                }
-            }
-            KernelStrategy::FactorOnce if !system.is_linear() => {
-                return Err(SpiceError::InvalidOptions(
-                    "the factor-once fast path requires a linear circuit (no MOSFETs); \
-                     use Auto or SplitStamp"
-                        .to_string(),
-                ));
-            }
-            KernelStrategy::Sparse if !system.is_linear() => {
-                return Err(SpiceError::InvalidOptions(
-                    "the sparse fast path requires a linear circuit (no MOSFETs); \
-                     use Auto or SplitStamp"
-                        .to_string(),
-                ));
+            KernelStrategy::Auto if system.is_linear() => KernelStrategy::Sparse,
+            KernelStrategy::Auto => KernelStrategy::SplitStamp,
+            KernelStrategy::FactorOnce | KernelStrategy::Sparse if !system.is_linear() => {
+                return Err(SpiceError::InvalidOptions(format!(
+                    "the {:?} kernel requires a linear circuit (no MOSFETs); \
+                     use Auto or SplitStamp",
+                    opts.strategy
+                )));
             }
             explicit => explicit,
         };
@@ -523,11 +504,12 @@ impl TransientAnalysis {
     }
 
     /// The sparse LTI fast path: assemble the companion matrix as CSC, factor
-    /// it once with the fill-reducing sparse LU (or replay a values-only
-    /// refactorization when the workspace still holds a factorization of the
-    /// same pattern — a repeated run of an unchanged topology), then per step
-    /// rebuild the RHS and run the triangular solves over the factor
-    /// nonzeros.
+    /// it once with the fill-reducing sparse LU, then per step rebuild the
+    /// RHS and run the triangular solves over the factor nonzeros.
+    ///
+    /// Every run factors from scratch: replaying the pivot sequence a
+    /// previous run left in the workspace would make the last bits of the
+    /// waveform depend on that run.
     ///
     /// Pivot health is gated exactly like the dense Woodbury path gates its
     /// rank update: when the smallest pivot falls below `1e-9 ×` the largest
@@ -550,24 +532,15 @@ impl TransientAnalysis {
 
         system.transient_triplets(h, method, &mut ws.triplets);
         let csc = CscMatrix::from_triplets(n, &ws.triplets);
-        let refactorable = ws.sparse_lu.dim() == n && ws.csc.same_pattern(&csc);
-        let factored = if refactorable {
-            // Values-only replay; a stale pivot sequence going singular gets
-            // one shot at a full re-factorization before falling back.
-            ws.sparse_lu.refactor(&csc).is_ok() || ws.sparse_lu.factor(&csc).is_ok()
-        } else {
-            ws.sparse_lu.factor(&csc).is_ok()
-        };
-        let healthy = factored && ws.sparse_lu.pivot_extremes().0 >= 1e-9 * csc.max_abs();
+        let healthy = ws.sparse_lu.factor(&csc).is_ok()
+            && ws.sparse_lu.pivot_extremes().0 >= 1e-9 * csc.max_abs();
         if !healthy {
             // Near-singular (or unfactorable) sparse stamp: degrade to the
             // dense partial-pivoting LU, whose row exchanges on the full
             // matrix handle what the sparsity-constrained pivoting cannot.
-            ws.csc = CscMatrix::default();
             self.run_factor_once(system, ws, n_steps, times, solutions)?;
             return Ok(KernelStrategy::FactorOnce);
         }
-        ws.csc = csc;
 
         system.init_cap_ieq(h, method, &ws.prev_x, &mut ws.cap_ieq);
         for step in 1..=n_steps {
@@ -1271,16 +1244,10 @@ mod tests {
 
     #[test]
     fn auto_records_the_executed_strategy() {
-        // Small linear circuit: Auto resolves to the dense factor-once path.
-        let (small, _) = rc_ladder(10);
+        // Every linear circuit, however small, resolves to the sparse kernel.
+        let (small, far) = rc_ladder(10);
         let res = TransientAnalysis::new(TransientOptions::try_new(ps(1.0), ps(20.0)).unwrap())
             .run(&small)
-            .unwrap();
-        assert_eq!(res.strategy(), KernelStrategy::FactorOnce);
-        // Large linear circuit (>= threshold unknowns): Auto goes sparse.
-        let (large, far) = rc_ladder(SPARSE_AUTO_THRESHOLD);
-        let res = TransientAnalysis::new(TransientOptions::try_new(ps(1.0), ps(20.0)).unwrap())
-            .run(&large)
             .unwrap();
         assert_eq!(res.strategy(), KernelStrategy::Sparse);
         // And the sparse solution matches the explicit dense kernel.
@@ -1289,7 +1256,7 @@ mod tests {
                 .unwrap()
                 .with_strategy(KernelStrategy::FactorOnce),
         )
-        .run(&large)
+        .run(&small)
         .unwrap();
         assert_eq!(dense.strategy(), KernelStrategy::FactorOnce);
         let (ws, wd) = (res.waveform(far), dense.waveform(far));
@@ -1321,7 +1288,7 @@ mod tests {
         // 1e-9 x the resistor conductances — the pivot-health gate must
         // reject the sparse factorization and fall back to dense LU, and
         // the recorded strategy must say so.
-        let (mut ckt, far) = rc_ladder(SPARSE_AUTO_THRESHOLD);
+        let (mut ckt, far) = rc_ladder(40);
         let _floating = ckt.node("floating");
         let opts = TransientOptions::try_new(ps(1.0), ps(20.0))
             .unwrap()
@@ -1343,21 +1310,50 @@ mod tests {
         }
     }
 
+    /// Seeded 40-segment far-end handoff circuits share one sparsity pattern
+    /// but not their values. Run through one reused workspace in two
+    /// interleaved orders, every run must reproduce its fresh-workspace
+    /// waveform bit for bit: a run may not inherit the previous pivots.
     #[test]
-    fn sparse_workspace_reuse_refactors_and_matches() {
-        let (ckt, far) = rc_ladder(SPARSE_AUTO_THRESHOLD + 10);
+    fn sparse_workspace_reuse_is_bit_identical_to_fresh_runs() {
+        let mut rng = rlc_numeric::stats::Rng::new(0x5eed_0040);
+        let circuits: Vec<(Circuit, NodeId)> = (0..24)
+            .map(|_| {
+                let (ckt, nodes) = crate::testbench::pwl_source_with_rlc_line(
+                    SourceWaveform::rising_ramp(1.8, 0.0, ps(rng.uniform_in(30.0, 200.0))),
+                    0.0,
+                    rng.uniform_in(20.0, 200.0),
+                    nh(rng.uniform_in(0.5, 8.0)),
+                    pf(rng.uniform_in(0.2, 2.0)),
+                    40,
+                    ff(rng.uniform_in(5.0, 60.0)),
+                );
+                (ckt, nodes.far_end)
+            })
+            .collect();
         let analysis = TransientAnalysis::new(
-            TransientOptions::try_new(ps(1.0), ps(20.0))
+            TransientOptions::try_new(ps(0.5), ps(150.0))
                 .unwrap()
                 .with_strategy(KernelStrategy::Sparse),
         );
+        let bits = |res: &TransientResult, far: NodeId| -> Vec<u64> {
+            let w = res.waveform(far);
+            w.values().iter().map(|v| v.to_bits()).collect()
+        };
+        let fresh: Vec<_> = circuits
+            .iter()
+            .map(|(ckt, far)| bits(&analysis.run(ckt).unwrap(), *far))
+            .collect();
         let mut ws = TransientWorkspace::new();
-        let first = analysis.run_with(&ckt, &mut ws).unwrap();
-        assert_eq!(first.strategy(), KernelStrategy::Sparse);
-        // Second run hits the same-pattern refactor path; results identical.
-        let second = analysis.run_with(&ckt, &mut ws).unwrap();
-        assert_eq!(second.strategy(), KernelStrategy::Sparse);
-        assert_eq!(first.waveform(far).values(), second.waveform(far).values());
+        for (run, i) in (0..24).chain((0..24).map(|k| (7 * k + 3) % 24)).enumerate() {
+            let res = analysis.run_with(&circuits[i].0, &mut ws).unwrap();
+            assert_eq!(res.strategy(), KernelStrategy::Sparse);
+            assert_eq!(
+                bits(&res, circuits[i].1),
+                fresh[i],
+                "run {run}: circuit {i}"
+            );
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Waveform-parity tests: the factor-once LTI fast path and the split-stamp
+//! Waveform-parity tests: the sparse factor-once LTI path and the split-stamp
 //! Newton kernels must reproduce the legacy full-reassembly kernel within
 //! 1e-9 V on every node, for both integration methods, on the workloads the
 //! paper's flow actually runs: an RLC ladder, a pi-load, and a MOSFET driver
@@ -52,8 +52,8 @@ fn assert_parity(label: &str, ckt: &Circuit, nodes: &[&str], time_step: f64, sto
     }
 }
 
-/// Fig4-style RLC ladder driven by an ideal ramp: exercises the factor-once
-/// LTI kernel (matrix factorized once, RHS-only per step).
+/// Fig4-style RLC ladder driven by an ideal ramp: exercises the sparse
+/// factor-once LTI kernel (matrix factorized once, RHS-only per step).
 #[test]
 fn lti_ladder_matches_legacy() {
     let (ckt, _) = pwl_source_with_rlc_line(
@@ -167,10 +167,11 @@ fn gmin_floor_stack_matches_legacy_via_refactor_fallback() {
     assert_parity("gmin-stack", &ckt, &["d", "m"], ps(1.0), ps(400.0));
 }
 
-/// The explicit strategies agree with Auto resolution on their own turf.
+/// The explicit strategies agree with Auto resolution on their own turf:
+/// `Sparse` for every linear circuit, `SplitStamp` for MOSFET circuits.
 #[test]
 fn explicit_strategies_match_auto() {
-    let (lti, _) = pwl_source_with_rlc_line(
+    let (lti, lti_nodes) = pwl_source_with_rlc_line(
         SourceWaveform::rising_ramp(1.8, 0.0, ps(100.0)),
         0.0,
         72.44,
@@ -182,17 +183,15 @@ fn explicit_strategies_match_auto() {
     let auto = TransientAnalysis::new(TransientOptions::try_new(ps(1.0), ps(400.0)).unwrap())
         .run(&lti)
         .unwrap()
-        .waveform_by_name("out")
-        .unwrap();
+        .waveform(lti_nodes.far_end);
     let forced = TransientAnalysis::new(
         TransientOptions::try_new(ps(1.0), ps(400.0))
             .unwrap()
-            .with_strategy(KernelStrategy::FactorOnce),
+            .with_strategy(KernelStrategy::Sparse),
     )
     .run(&lti)
     .unwrap()
-    .waveform_by_name("out")
-    .unwrap();
+    .waveform(lti_nodes.far_end);
     assert_eq!(auto.values(), forced.values());
 
     let spec = InverterSpec::sized_018(25.0);

@@ -1,13 +1,14 @@
-//! Sparse-kernel parity tests: the min-degree sparse LU fast path must
-//! reproduce the dense kernels within 1e-9 V on every probed node, for both
-//! integration methods, on the large linear workloads it exists for — a long
-//! RLC ladder, a 3-sink RLC tree, and a capacitively/inductively coupled
-//! two-line bus — and it must degrade to dense LU (not to a wrong answer)
-//! when the stamp is ill-conditioned.
+//! Sparse-kernel parity tests: the min-degree sparse LU, which runs every
+//! linear circuit, must reproduce the dense kernels within 1e-9 V on every
+//! probed node, for both integration methods — on 1-, 5- and 40-segment
+//! far-end handoff ladders, a long RLC ladder, a 3-sink RLC tree, and a
+//! capacitively/inductively coupled two-line bus — and it must degrade to
+//! dense LU (not to a wrong answer) when the stamp is ill-conditioned.
 
 use rlc_numeric::units::{ff, nh, pf, ps};
 use rlc_spice::prelude::*;
 use rlc_spice::source::SourceWaveform;
+use rlc_spice::testbench::pwl_source_with_rlc_line;
 
 const PARITY_TOLERANCE_V: f64 = 1e-9;
 
@@ -92,8 +93,8 @@ fn stamp_ladder(
     far
 }
 
-/// The paper's flagship 5 mm line at 64 segments: 194 MNA unknowns, beyond
-/// the auto-sparse threshold, with a stiff RLC companion matrix.
+/// The paper's flagship 5 mm line at 64 segments: 194 MNA unknowns, with a
+/// stiff RLC companion matrix.
 #[test]
 fn sparse_ladder_matches_dense() {
     let mut ckt = Circuit::new();
@@ -244,6 +245,34 @@ fn sparse_coupled_bus_matches_dense() {
         ps(2.0),
         ps(600.0),
     );
+}
+
+/// Far-end handoff ladders — an ideal ramp source with an initial-condition
+/// start driving the flagship line, the circuit a timing session
+/// propagates between stages — at the small sizes that run the sparse
+/// kernel like every other linear circuit: 1 segment (5 unknowns),
+/// 5 segments (17) and the default 40-segment handoff (122).
+#[test]
+fn sparse_handoff_ladders_match_dense() {
+    for segments in [1usize, 5, 40] {
+        let (ckt, _) = pwl_source_with_rlc_line(
+            SourceWaveform::rising_ramp(1.8, 0.0, ps(100.0)),
+            0.0,
+            72.44,
+            nh(5.14),
+            pf(1.10),
+            segments,
+            ff(10.0),
+        );
+        let far = format!("line_n{}", segments - 1);
+        assert_sparse_parity(
+            &format!("handoff-{segments}seg"),
+            &ckt,
+            &["line_m0", &far],
+            ps(1.0),
+            ps(500.0),
+        );
+    }
 }
 
 /// An ill-conditioned stamp (floating node carrying only the gmin pivot)
