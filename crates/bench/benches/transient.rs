@@ -23,7 +23,7 @@ use rlc_spice::testbench::{
     OutputTransition,
 };
 use rlc_spice::transient::{
-    KernelStrategy, TransientAnalysis, TransientOptions, TransientWorkspace,
+    Crossing, KernelStrategy, TransientAnalysis, TransientOptions, TransientWorkspace,
 };
 use std::hint::black_box;
 
@@ -468,15 +468,32 @@ fn main() {
         let ws = ws.unwrap_or(&mut fresh);
         for &slew in slews {
             for &load in loads {
-                let (ckt, _) =
+                let (ckt, nodes) =
                     inverter_with_cap_load(&spec, slew, ps(20.0), load, OutputTransition::Rising);
-                // Same simulation-window heuristic as charlib's
+                // Same simulation window and watched crossings as charlib's
                 // `characterize_point` (which cannot be called here directly
-                // because the legacy baseline needs an explicit strategy).
+                // because the legacy baseline needs an explicit strategy):
+                // the run ends at the input's 50 % and the output's 10/50/90 %
+                // crossings.
                 let window = ps(20.0) + slew + 8.0 * (3.0e-3 / spec.nmos_width) * load + ps(200.0);
                 let steps = (window / ps(1.0)).ceil().max(50.0);
                 let o = options(ps(1.0), steps * ps(1.0), strategy);
-                black_box(TransientAnalysis::new(o).run_with(&ckt, ws).unwrap());
+                let watch = [
+                    (nodes.input, 0.5, false),
+                    (nodes.output, 0.1, true),
+                    (nodes.output, 0.5, true),
+                    (nodes.output, 0.9, true),
+                ]
+                .map(|(node, fraction, rising)| Crossing {
+                    node,
+                    level: fraction * spec.vdd,
+                    rising,
+                });
+                black_box(
+                    TransientAnalysis::new(o)
+                        .run_until(&ckt, ws, &watch)
+                        .unwrap(),
+                );
             }
         }
     };
@@ -629,9 +646,10 @@ fn main() {
 
     // ---- AnalysisSession scheduling overhead ------------------------------
     // A 4-stage dependent chain through the session versus hand-rolled
-    // sequential analyze + far_end propagation. Both sides run the same
-    // analytic flow and the same propagation fidelity, so the difference is
-    // pure scheduling (worker threads, queueing, handoff bookkeeping).
+    // sequential analyze + ramp-handoff propagation. Both sides run the same
+    // analytic flow and the same early-stopped propagation
+    // (`StageReport::far_end_handoff`), so the difference is pure scheduling
+    // (worker threads, queueing, handoff bookkeeping).
     {
         use rlc_ceff_suite::ceff::far_end::FarEndOptions;
         use rlc_ceff_suite::{
@@ -681,11 +699,7 @@ fn main() {
                 let report = engine.analyze(&stage).unwrap();
                 last_delay = report.delay;
                 if i + 1 < loads.len() {
-                    let far = report.far_end(load.as_ref(), &far_opts).unwrap();
-                    event = InputEvent::from_measured(
-                        report.input_t50 + far.delay_from_input,
-                        far.slew,
-                    );
+                    event = report.far_end_handoff(load.as_ref(), &far_opts).unwrap().0;
                 }
             }
             black_box(last_delay)

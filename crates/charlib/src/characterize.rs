@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use rlc_numeric::units::{ff, pf, ps};
 use rlc_spice::testbench::{inverter_with_cap_load, InverterSpec, OutputTransition};
-use rlc_spice::transient::{TransientAnalysis, TransientOptions, TransientWorkspace};
+use rlc_spice::transient::{Crossing, TransientAnalysis, TransientOptions, TransientWorkspace};
 
 use crate::table::TimingTable;
 use crate::CharlibError;
@@ -185,12 +185,25 @@ pub fn characterize_point_with(
     let window = input_delay + input_slew + 8.0 * r_estimate * load + ps(200.0);
     let steps = (window / time_step).ceil().max(50.0);
     let opts = TransientOptions::try_new(time_step, steps * time_step)?;
-    let result = TransientAnalysis::new(opts).run_with(&ckt, workspace)?;
 
+    // The point reads only first crossings, so the run ends at the last of
+    // them; each level is computed exactly as the measurement below does.
     let vdd = spec.vdd;
+    let rising = matches!(transition, OutputTransition::Rising);
+    let watch = [
+        (nodes.input, 0.5, !rising),
+        (nodes.output, 0.1, rising),
+        (nodes.output, 0.5, rising),
+        (nodes.output, 0.9, rising),
+    ]
+    .map(|(node, fraction, rising)| Crossing {
+        node,
+        level: fraction * vdd,
+        rising,
+    });
+    let result = TransientAnalysis::new(opts).run_until(&ckt, workspace, &watch)?;
     let out = result.waveform(nodes.output);
     let input = result.waveform(nodes.input);
-    let rising = matches!(transition, OutputTransition::Rising);
 
     let t50_in =
         input

@@ -15,7 +15,7 @@
 
 use rlc_numeric::units::ps;
 use rlc_spice::testbench::{inverter_with_cap_load, InverterSpec, OutputTransition};
-use rlc_spice::transient::{TransientAnalysis, TransientOptions, TransientWorkspace};
+use rlc_spice::transient::{Crossing, TransientAnalysis, TransientOptions, TransientWorkspace};
 
 use crate::CharlibError;
 
@@ -67,15 +67,22 @@ pub fn driver_on_resistance_with(
     let window = input_delay + input_slew + 10.0 * r_estimate * load + ps(200.0);
     let time_step = ps(0.5);
     let steps = (window / time_step).ceil().max(50.0);
-    let result = TransientAnalysis::new(TransientOptions::try_new(time_step, steps * time_step)?)
-        .run_with(&ckt, workspace)?;
 
     let vdd = spec.vdd;
     let rising = matches!(transition, OutputTransition::Rising);
-    let out = result.waveform(nodes.output);
     // "90 % of the transition" is 0.9*VDD for a rising output but 0.1*VDD for
     // a falling one.
     let level_90 = if rising { 0.9 } else { 0.1 };
+    // Only the two first crossings are read, so the run ends at the later
+    // one; each level is computed exactly as the measurement below does.
+    let watch = [0.5, level_90].map(|fraction| Crossing {
+        node: nodes.output,
+        level: fraction * vdd,
+        rising,
+    });
+    let result = TransientAnalysis::new(TransientOptions::try_new(time_step, steps * time_step)?)
+        .run_until(&ckt, workspace, &watch)?;
+    let out = result.waveform(nodes.output);
     let t50 = out
         .crossing_fraction(0.5, vdd, rising)
         .ok_or_else(|| CharlibError::Measurement {

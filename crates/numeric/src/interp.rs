@@ -67,51 +67,67 @@ pub fn interp2(x_axis: &[f64], y_axis: &[f64], values: &[Vec<f64>], x: f64, y: f
     v0 + tx * (v1 - v0)
 }
 
+/// The crossing rule [`first_crossing`] applies to each step of a sampled
+/// trace: `true` when the trace, moving from sample `y0` to sample `y1`,
+/// reaches `target` in the search direction on this step. `first_step`
+/// marks the step out of the trace's first sample.
+///
+/// Anything that detects crossings sample by sample (a simulation deciding
+/// whether it may stop) calls this rule, so it finds exactly the step on
+/// which [`first_crossing`] reports the crossing.
+///
+/// ```
+/// use rlc_numeric::interp::crosses_on_step;
+/// // The step owns its upper sample: landing exactly on the target counts.
+/// assert!(crosses_on_step(0.2, 0.5, 0.5, true, false));
+/// // Leaving the target does not, except out of the trace's first sample.
+/// assert!(!crosses_on_step(0.5, 0.9, 0.5, true, false));
+/// assert!(crosses_on_step(0.5, 0.9, 0.5, true, true));
+/// ```
+pub fn crosses_on_step(y0: f64, y1: f64, target: f64, rising: bool, first_step: bool) -> bool {
+    // Half-open comparison: the step owns its upper sample, so a trace
+    // sampled exactly on the threshold reports the crossing at that sample
+    // instead of dropping or delaying it. Approaches from the wrong side — a
+    // dip that merely brushes the target during a rising-direction search —
+    // deliberately do not count: the `y0` comparison stays strict, so the
+    // trace must arrive from the side the search direction implies.
+    //
+    // The one exception is a trace beginning exactly at the threshold: it
+    // has reached it at its first sample — there is no earlier history to
+    // cross from — provided it then proceeds on the search direction's side.
+    // A trace that immediately leaves against the direction has not crossed
+    // (it may still cross properly later).
+    if rising {
+        (y0 < target || (first_step && y0 == target)) && y1 >= target
+    } else {
+        (y0 > target || (first_step && y0 == target)) && y1 <= target
+    }
+}
+
 /// Interpolates the abscissa at which a monotonically sampled trace crosses
 /// `target`. `xs` must be increasing; `ys` need not be monotonic — the first
 /// crossing (in increasing `xs`) is returned. A trace sampled exactly on the
 /// target counts as crossing at that sample when it arrives from the search
 /// direction's side, and a trace that *starts* exactly on the target crosses
-/// at its first sample. Returns `None` if the trace never crosses.
+/// at its first sample ([`crosses_on_step`] states the rule). Returns `None`
+/// if the trace never crosses.
 pub fn first_crossing(xs: &[f64], ys: &[f64], target: f64, rising: bool) -> Option<f64> {
     assert_eq!(xs.len(), ys.len());
-    // A trace beginning exactly at the threshold has reached it at its first
-    // sample — there is no earlier history to cross from — provided it then
-    // proceeds on the search direction's side; a trace that immediately
-    // leaves against the direction has not crossed (it may still cross
-    // properly later, which the scan below finds).
-    if ys.len() >= 2 && ys[0] == target {
-        let toward = if rising {
-            ys[1] >= target
-        } else {
-            ys[1] <= target
-        };
-        if toward {
-            return Some(xs[0]);
-        }
-    }
     for k in 1..xs.len() {
         let (y0, y1) = (ys[k - 1], ys[k]);
-        // Half-open comparison: the segment owns its upper sample, so a
-        // trace sampled exactly on the threshold reports the crossing at
-        // that sample instead of dropping or delaying it (the old strict
-        // `y1 > target` missed exact landings). Approaches from the wrong
-        // side — a dip that merely brushes the target during a
-        // rising-direction search — deliberately do not count: the `y0`
-        // comparison stays strict, so the trace must arrive from the side
-        // the search direction implies.
-        let crossed = if rising {
-            y0 < target && y1 >= target
-        } else {
-            y0 > target && y1 <= target
-        };
-        if crossed {
-            if (y1 - y0).abs() < 1e-300 {
-                return Some(xs[k]);
-            }
-            let t = (target - y0) / (y1 - y0);
-            return Some(xs[k - 1] + t * (xs[k] - xs[k - 1]));
+        if !crosses_on_step(y0, y1, target, rising, k == 1) {
+            continue;
         }
+        // Only the first step can start on the target: the trace reached it
+        // at its first sample.
+        if y0 == target {
+            return Some(xs[k - 1]);
+        }
+        if (y1 - y0).abs() < 1e-300 {
+            return Some(xs[k]);
+        }
+        let t = (target - y0) / (y1 - y0);
+        return Some(xs[k - 1] + t * (xs[k] - xs[k - 1]));
     }
     None
 }

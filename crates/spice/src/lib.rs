@@ -58,8 +58,8 @@ pub use mosfet::{MosfetParams, MosfetType};
 pub use source::SourceWaveform;
 pub use sweep::{SweepResult, VariationSpec, VariationSweep};
 pub use transient::{
-    IntegrationMethod, KernelStrategy, TransientAnalysis, TransientOptions, TransientResult,
-    TransientWorkspace,
+    Crossing, IntegrationMethod, KernelStrategy, TransientAnalysis, TransientOptions,
+    TransientResult, TransientWorkspace,
 };
 pub use waveform::Waveform;
 
@@ -71,8 +71,8 @@ pub mod prelude {
     pub use crate::source::SourceWaveform;
     pub use crate::sweep::{SweepResult, VariationSpec, VariationSweep};
     pub use crate::transient::{
-        IntegrationMethod, KernelStrategy, TransientAnalysis, TransientOptions, TransientResult,
-        TransientWorkspace,
+        Crossing, IntegrationMethod, KernelStrategy, TransientAnalysis, TransientOptions,
+        TransientResult, TransientWorkspace,
     };
     pub use crate::waveform::Waveform;
     pub use crate::SpiceError;

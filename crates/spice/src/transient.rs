@@ -16,9 +16,22 @@
 //! near-singular sparse stamp degrades to, and as the explicit references
 //! ([`KernelStrategy::FactorOnce`], [`KernelStrategy::LegacyFull`]) that
 //! parity tests and benchmarks compare against.
+//!
+//! # Stopping at the last measured crossing
+//!
+//! Every kernel is causal on the fixed grid `t = k·h`: the solution at step
+//! `k` depends only on the circuit, the options and steps `0..k`, never on
+//! the stop time. [`TransientAnalysis::run_until`] exploits that for runs
+//! whose only outputs are first crossings (a 50 % delay, a 10–90 % slew): it
+//! ends the run after the step on which the last watched [`Crossing`]
+//! occurs. Its result is a prefix of the full-window run, equal to it bit for
+//! bit (`f64::to_bits`) on every sample it holds, so every first crossing it
+//! contains measures exactly what the full window would have measured.
+//! [`TransientAnalysis::run_with`] is `run_until` with nothing to watch.
 
 use std::collections::HashMap;
 
+use rlc_numeric::interp::crosses_on_step;
 use rlc_numeric::{CscMatrix, DenseMatrix, LuFactors, SparseLu};
 
 use crate::circuit::{Circuit, NodeId};
@@ -270,6 +283,83 @@ impl TransientWorkspace {
     }
 }
 
+/// A first crossing a transient run watches for
+/// ([`TransientAnalysis::run_until`]): the first time the voltage of `node`
+/// crosses `level` in the direction `rising`. The run detects it on the step
+/// where [`Waveform::crossing_time`] finds it, since both apply
+/// [`rlc_numeric::interp::crosses_on_step`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Crossing {
+    /// The watched node.
+    pub node: NodeId,
+    /// The watched level (volts).
+    pub level: f64,
+    /// Search direction: `true` for a rising crossing.
+    pub rising: bool,
+}
+
+/// The stop test of [`TransientAnalysis::run_until`]: fed every accepted
+/// solution in time order, it reports when every watched first crossing has
+/// occurred. With nothing to watch it never stops the run.
+struct StopWatch<'a> {
+    crossings: &'a [Crossing],
+    /// Per watched crossing: the node voltage at the previous sample, and
+    /// whether the crossing has occurred.
+    last: Vec<(f64, bool)>,
+    pending: usize,
+    first_step: bool,
+}
+
+impl<'a> StopWatch<'a> {
+    fn new(system: &MnaSystem, crossings: &'a [Crossing], x0: &[f64]) -> Self {
+        StopWatch {
+            crossings,
+            last: crossings
+                .iter()
+                .map(|c| (system.node_voltage(x0, c.node.index()), false))
+                .collect(),
+            pending: crossings.len(),
+            first_step: true,
+        }
+    }
+
+    /// Records the solution of the next step; `true` once every watched
+    /// crossing has occurred, so the run may end after this step.
+    fn all_crossed(&mut self, system: &MnaSystem, x: &[f64]) -> bool {
+        if self.pending == 0 {
+            return false;
+        }
+        for (c, (last, crossed)) in self.crossings.iter().zip(&mut self.last) {
+            let y = system.node_voltage(x, c.node.index());
+            if !*crossed && crosses_on_step(*last, y, c.level, c.rising, self.first_step) {
+                *crossed = true;
+                self.pending -= 1;
+            }
+            *last = y;
+        }
+        self.first_step = false;
+        self.pending == 0
+    }
+}
+
+/// The accepted time points of a run (one flat row-major solution block, as
+/// in [`TransientResult`]) and the stop test every kernel loop consults.
+struct Trace<'c> {
+    times: Vec<f64>,
+    solutions: Vec<f64>,
+    stop: StopWatch<'c>,
+}
+
+impl Trace<'_> {
+    /// Accepts the solution `x` at time `t`; `true` when the run may end
+    /// after this step.
+    fn push(&mut self, system: &MnaSystem, t: f64, x: &[f64]) -> bool {
+        self.times.push(t);
+        self.solutions.extend_from_slice(x);
+        self.stop.all_crossed(system, x)
+    }
+}
+
 fn dot(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
@@ -372,7 +462,9 @@ impl TransientAnalysis {
 
     /// Runs the analysis reusing a caller-owned [`TransientWorkspace`], so
     /// repeated runs (characterization grids, backend batches) perform no
-    /// kernel allocation after the first run.
+    /// kernel allocation after the first run. This is
+    /// [`TransientAnalysis::run_until`] with nothing to watch: the run always
+    /// reaches the stop time.
     ///
     /// # Errors
     /// Returns a [`SpiceError`] if the circuit is invalid, the requested
@@ -383,7 +475,44 @@ impl TransientAnalysis {
         circuit: &Circuit,
         ws: &mut TransientWorkspace,
     ) -> Result<TransientResult, SpiceError> {
+        self.run_until(circuit, ws, &[])
+    }
+
+    /// [`TransientAnalysis::run_with`] that ends early: the run stops after
+    /// the step on which the last of `crossings` first occurs, or at the stop
+    /// time if one never does. An empty list runs the full window.
+    ///
+    /// The result is a prefix of the full-window result: its times and every
+    /// solution sample equal those of [`TransientAnalysis::run_with`] on the
+    /// same circuit, options and kernel bit for bit (`f64::to_bits`), because
+    /// each step depends only on the steps before it. A first crossing
+    /// measured on the prefix ([`Waveform::crossing_time`] and the
+    /// measurements built on it) is therefore identical to one measured on
+    /// the full window. Only runs whose outputs are such first crossings
+    /// should stop early: peaks, settled levels and the waveform tail belong
+    /// to the full window.
+    ///
+    /// # Errors
+    /// As [`TransientAnalysis::run_with`], plus
+    /// [`SpiceError::InvalidOptions`] when a watched node is not a node of
+    /// `circuit`.
+    pub fn run_until(
+        &self,
+        circuit: &Circuit,
+        ws: &mut TransientWorkspace,
+        crossings: &[Crossing],
+    ) -> Result<TransientResult, SpiceError> {
         circuit.validate()?;
+        if let Some(c) = crossings
+            .iter()
+            .find(|c| c.node.index() >= circuit.num_nodes())
+        {
+            return Err(SpiceError::InvalidOptions(format!(
+                "watched node {} is not a node of the circuit ({} nodes)",
+                c.node.index(),
+                circuit.num_nodes()
+            )));
+        }
         let system = MnaSystem::compile(circuit);
         let n = system.num_unknowns();
         let opts = &self.options;
@@ -423,25 +552,26 @@ impl TransientAnalysis {
         ws.prev_x.copy_from_slice(&x0);
 
         let n_steps = (opts.stop_time / opts.time_step).round() as usize;
-        let mut times = Vec::with_capacity(n_steps + 1);
-        let mut solutions = Vec::with_capacity((n_steps + 1) * n);
-        times.push(0.0);
-        solutions.extend_from_slice(&x0);
+        let mut out = Trace {
+            times: Vec::with_capacity(n_steps + 1),
+            solutions: Vec::with_capacity((n_steps + 1) * n),
+            stop: StopWatch::new(&system, crossings, &x0),
+        };
+        out.times.push(0.0);
+        out.solutions.extend_from_slice(&x0);
 
         let executed = match strategy {
             KernelStrategy::FactorOnce => {
-                self.run_factor_once(&system, ws, n_steps, &mut times, &mut solutions)?;
+                self.run_factor_once(&system, ws, n_steps, &mut out)?;
                 KernelStrategy::FactorOnce
             }
-            KernelStrategy::Sparse => {
-                self.run_sparse(&system, ws, n_steps, &mut times, &mut solutions)?
-            }
+            KernelStrategy::Sparse => self.run_sparse(&system, ws, n_steps, &mut out)?,
             KernelStrategy::SplitStamp => {
-                self.run_split_stamp(&system, ws, n_steps, &mut times, &mut solutions)?;
+                self.run_split_stamp(&system, ws, n_steps, &mut out)?;
                 KernelStrategy::SplitStamp
             }
             KernelStrategy::LegacyFull => {
-                self.run_legacy(&system, ws, n_steps, &mut times, &mut solutions)?;
+                self.run_legacy(&system, ws, n_steps, &mut out)?;
                 KernelStrategy::LegacyFull
             }
             KernelStrategy::Auto => unreachable!("Auto was resolved above"),
@@ -460,8 +590,8 @@ impl TransientAnalysis {
             .collect();
 
         Ok(TransientResult {
-            times,
-            solutions,
+            times: out.times,
+            solutions: out.solutions,
             stride: n,
             system,
             node_names,
@@ -479,8 +609,7 @@ impl TransientAnalysis {
         system: &MnaSystem,
         ws: &mut TransientWorkspace,
         n_steps: usize,
-        times: &mut Vec<f64>,
-        solutions: &mut Vec<f64>,
+        out: &mut Trace<'_>,
     ) -> Result<(), SpiceError> {
         let opts = &self.options;
         let method = opts.method.companion();
@@ -497,8 +626,9 @@ impl TransientAnalysis {
             system.transient_rhs_fused(t, h, method, &ws.prev_x, &mut ws.cap_ieq, &mut ws.rhs);
             ws.lu.solve_into(&ws.rhs, &mut ws.x_new);
             ws.prev_x.copy_from_slice(&ws.x_new);
-            times.push(t);
-            solutions.extend_from_slice(&ws.x_new);
+            if out.push(system, t, &ws.x_new) {
+                break;
+            }
         }
         Ok(())
     }
@@ -522,8 +652,7 @@ impl TransientAnalysis {
         system: &MnaSystem,
         ws: &mut TransientWorkspace,
         n_steps: usize,
-        times: &mut Vec<f64>,
-        solutions: &mut Vec<f64>,
+        out: &mut Trace<'_>,
     ) -> Result<KernelStrategy, SpiceError> {
         let opts = &self.options;
         let method = opts.method.companion();
@@ -538,7 +667,7 @@ impl TransientAnalysis {
             // Near-singular (or unfactorable) sparse stamp: degrade to the
             // dense partial-pivoting LU, whose row exchanges on the full
             // matrix handle what the sparsity-constrained pivoting cannot.
-            self.run_factor_once(system, ws, n_steps, times, solutions)?;
+            self.run_factor_once(system, ws, n_steps, out)?;
             return Ok(KernelStrategy::FactorOnce);
         }
 
@@ -548,8 +677,9 @@ impl TransientAnalysis {
             system.transient_rhs_fused(t, h, method, &ws.prev_x, &mut ws.cap_ieq, &mut ws.rhs);
             ws.sparse_lu.solve_into(&ws.rhs, &mut ws.x_new);
             ws.prev_x.copy_from_slice(&ws.x_new);
-            times.push(t);
-            solutions.extend_from_slice(&ws.x_new);
+            if out.push(system, t, &ws.x_new) {
+                break;
+            }
         }
         Ok(KernelStrategy::Sparse)
     }
@@ -566,8 +696,7 @@ impl TransientAnalysis {
         system: &MnaSystem,
         ws: &mut TransientWorkspace,
         n_steps: usize,
-        times: &mut Vec<f64>,
-        solutions: &mut Vec<f64>,
+        out: &mut Trace<'_>,
     ) -> Result<(), SpiceError> {
         let opts = &self.options;
         let method = opts.method.companion();
@@ -587,9 +716,9 @@ impl TransientAnalysis {
             && ws.static_matrix.factor_into(&mut ws.lu).is_ok()
             && ws.lu.pivot_extremes().0 >= 1e-9 * ws.static_matrix.max_abs();
         if use_rank_update {
-            self.run_rank_update(system, ws, &rows, n_steps, times, solutions)
+            self.run_rank_update(system, ws, &rows, n_steps, out)
         } else {
-            self.run_split_refactor(system, ws, n_steps, times, solutions)
+            self.run_split_refactor(system, ws, n_steps, out)
         }
     }
 
@@ -604,8 +733,7 @@ impl TransientAnalysis {
         ws: &mut TransientWorkspace,
         rows: &[usize],
         n_steps: usize,
-        times: &mut Vec<f64>,
-        solutions: &mut Vec<f64>,
+        out: &mut Trace<'_>,
     ) -> Result<(), SpiceError> {
         let opts = &self.options;
         let method = opts.method.companion();
@@ -724,8 +852,9 @@ impl TransientAnalysis {
             }
             ws.prev2_x.copy_from_slice(&ws.prev_x);
             ws.prev_x.copy_from_slice(&ws.guess);
-            times.push(t);
-            solutions.extend_from_slice(&ws.guess);
+            if out.push(system, t, &ws.guess) {
+                break;
+            }
         }
         Ok(())
     }
@@ -738,8 +867,7 @@ impl TransientAnalysis {
         system: &MnaSystem,
         ws: &mut TransientWorkspace,
         n_steps: usize,
-        times: &mut Vec<f64>,
-        solutions: &mut Vec<f64>,
+        out: &mut Trace<'_>,
     ) -> Result<(), SpiceError> {
         let opts = &self.options;
         let method = opts.method.companion();
@@ -800,8 +928,9 @@ impl TransientAnalysis {
             }
             ws.prev2_x.copy_from_slice(&ws.prev_x);
             ws.prev_x.copy_from_slice(&ws.guess);
-            times.push(t);
-            solutions.extend_from_slice(&ws.guess);
+            if out.push(system, t, &ws.guess) {
+                break;
+            }
         }
         Ok(())
     }
@@ -814,8 +943,7 @@ impl TransientAnalysis {
         system: &MnaSystem,
         ws: &mut TransientWorkspace,
         n_steps: usize,
-        times: &mut Vec<f64>,
-        solutions: &mut Vec<f64>,
+        out: &mut Trace<'_>,
     ) -> Result<(), SpiceError> {
         let opts = &self.options;
         let method = opts.method.companion();
@@ -864,8 +992,9 @@ impl TransientAnalysis {
             }
             system.update_capacitor_currents(h, method, &guess, &prev_x, &mut cap_currents);
             x = guess;
-            times.push(t);
-            solutions.extend_from_slice(&x);
+            if out.push(system, t, &x) {
+                break;
+            }
         }
         Ok(())
     }

@@ -16,7 +16,7 @@ use rlc_numeric::Diagnostic;
 use rlc_spice::circuit::Circuit;
 use rlc_spice::testbench::{add_inverter_driver, add_inverter_driver_with_input, OutputTransition};
 use rlc_spice::transient::{
-    TransientAnalysis, TransientOptions, TransientResult, TransientWorkspace,
+    Crossing, TransientAnalysis, TransientOptions, TransientResult, TransientWorkspace,
 };
 use rlc_spice::{SourceWaveform, SpiceError, Waveform};
 
@@ -24,7 +24,7 @@ use crate::config::{CeffStrategy, EngineConfig};
 use crate::driver::{DriverModel, SampledWaveform};
 use crate::error::EngineError;
 use crate::load::LoadModel;
-use crate::stage::Stage;
+use crate::stage::{InputEvent, Stage};
 
 thread_local! {
     /// Per-worker-thread simulation workspace: `analyze_many` fans stages
@@ -33,9 +33,16 @@ thread_local! {
     static SIM_WORKSPACE: RefCell<TransientWorkspace> = RefCell::new(TransientWorkspace::new());
 }
 
-/// Runs a transient analysis through this thread's cached workspace.
-fn run_transient(options: TransientOptions, ckt: &Circuit) -> Result<TransientResult, SpiceError> {
-    SIM_WORKSPACE.with(|ws| TransientAnalysis::new(options).run_with(ckt, &mut ws.borrow_mut()))
+/// Runs a transient analysis through this thread's cached workspace, ending
+/// it at the last of `watch` ([`TransientAnalysis::run_until`]; an empty list
+/// runs the full window).
+fn run_transient(
+    options: TransientOptions,
+    ckt: &Circuit,
+    watch: &[Crossing],
+) -> Result<TransientResult, SpiceError> {
+    SIM_WORKSPACE
+        .with(|ws| TransientAnalysis::new(options).run_until(ckt, &mut ws.borrow_mut(), watch))
 }
 
 /// The Info-level lint recording that a sparse transient kernel failed its
@@ -162,12 +169,18 @@ impl StageReport {
 
     /// Replaces the driver with an ideal PWL source of this report's output
     /// waveform, attaches the load's netlist and runs the (linear, fast)
-    /// propagation simulation. Shared by [`StageReport::far_end`] and
-    /// [`StageReport::far_end_sinks`].
+    /// propagation simulation. Shared by [`StageReport::far_end`],
+    /// [`StageReport::far_end_handoff`] and [`StageReport::far_end_sinks`].
+    ///
+    /// A non-empty `primary_levels` ends the run once the primary sink has
+    /// first crossed every listed level upwards
+    /// ([`TransientAnalysis::run_until`]); an empty list runs the full
+    /// window.
     fn propagate_through(
         &self,
         load: &dyn LoadModel,
         options: &FarEndOptions,
+        primary_levels: &[f64],
     ) -> Result<(TransientResult, crate::load::AttachedNet), EngineError> {
         let t_stop = self.waveform.end_time() + options.settle_time + load.settle_horizon();
         let source = self.waveform.to_source(t_stop);
@@ -178,8 +191,39 @@ impl StageReport {
         ckt.set_initial_condition(near, 0.0);
         let net = load.attach_net(&mut ckt, near, 0.0, options.segments)?;
 
-        let result = run_transient(TransientOptions::try_new(options.time_step, t_stop)?, &ckt)?;
+        let watch: Vec<Crossing> = primary_levels
+            .iter()
+            .map(|&level| Crossing {
+                node: net.primary,
+                level,
+                rising: true,
+            })
+            .collect();
+        let result = run_transient(
+            TransientOptions::try_new(options.time_step, t_stop)?,
+            &ckt,
+            &watch,
+        )?;
         Ok((result, net))
+    }
+
+    /// The far end's 50 % delay from the input's 50 % crossing and its
+    /// 10–90 % slew, the two first-crossing measurements a far-end
+    /// propagation feeds forward.
+    fn far_end_timing(&self, far: &Waveform) -> Result<(f64, f64), EngineError> {
+        let t50 = far.crossing_fraction(0.5, self.vdd, true).ok_or_else(|| {
+            EngineError::unsupported("far end never crossed 50% within the window".to_string())
+        })?;
+        let slew = far.slew_10_90(self.vdd, true).ok_or_else(|| {
+            EngineError::unsupported("far end never completed 10-90% within the window".to_string())
+        })?;
+        Ok((t50 - self.input_t50, slew))
+    }
+
+    /// The ramp a dependent stage sees from a far end measured at
+    /// `delay_from_input` with 10–90 % `slew` ([`InputEvent::from_measured`]).
+    pub(crate) fn handoff_event(&self, delay_from_input: f64, slew: f64) -> InputEvent {
+        InputEvent::from_measured(self.input_t50 + delay_from_input, slew)
     }
 
     /// Propagates this report's driver-output waveform through a load's
@@ -194,21 +238,47 @@ impl StageReport {
         load: &dyn LoadModel,
         options: &FarEndOptions,
     ) -> Result<FarEndReport, EngineError> {
-        let (result, net) = self.propagate_through(load, options)?;
+        let (result, net) = self.propagate_through(load, options, &[])?;
         let far = result.waveform(net.primary);
-        let t50 = far.crossing_fraction(0.5, self.vdd, true).ok_or_else(|| {
-            EngineError::unsupported("far end never crossed 50% within the window".to_string())
-        })?;
-        let slew = far.slew_10_90(self.vdd, true).ok_or_else(|| {
-            EngineError::unsupported("far end never completed 10-90% within the window".to_string())
-        })?;
+        let (delay_from_input, slew) = self.far_end_timing(&far)?;
         Ok(FarEndReport {
-            delay_from_input: t50 - self.input_t50,
+            delay_from_input,
             slew,
             overshoot: far.overshoot(self.vdd),
             waveform: far,
             degraded_to_dense: result.degraded_to_dense(),
         })
+    }
+
+    /// The ramp handoff of this stage's primary far end: the input event a
+    /// dependent stage sees ([`InputEvent::from_measured`] of the far end's
+    /// 50 % crossing and 10–90 % slew), and whether the propagation's sparse
+    /// kernel degraded to dense (see [`FarEndReport::degraded_to_dense`]).
+    /// This is the handoff an [`crate::AnalysisSession`] applies to a
+    /// consumer that does not read the sampled waveform.
+    ///
+    /// The event is bit-identical to one built from [`StageReport::far_end`]
+    /// (`from_measured(input_t50 + delay_from_input, slew)`), but the
+    /// propagation stops once the far end has crossed 90 %
+    /// ([`TransientAnalysis::run_until`]) instead of simulating the settling
+    /// tail that only overshoot and the waveform need.
+    ///
+    /// # Errors
+    /// As [`StageReport::far_end`].
+    pub fn far_end_handoff(
+        &self,
+        load: &dyn LoadModel,
+        options: &FarEndOptions,
+    ) -> Result<(InputEvent, bool), EngineError> {
+        // The levels the 10-90 % slew and the 50 % delay measure, computed
+        // exactly as `Waveform::crossing_fraction` computes them.
+        let levels = [0.1, 0.5, 0.9].map(|fraction| fraction * self.vdd);
+        let (result, net) = self.propagate_through(load, options, &levels)?;
+        let (delay_from_input, slew) = self.far_end_timing(&result.waveform(net.primary))?;
+        Ok((
+            self.handoff_event(delay_from_input, slew),
+            result.degraded_to_dense(),
+        ))
     }
 
     /// Like [`StageReport::far_end`], but measures **every** named sink the
@@ -227,7 +297,7 @@ impl StageReport {
         load: &dyn LoadModel,
         options: &FarEndOptions,
     ) -> Result<Vec<SinkFarEnd>, EngineError> {
-        let (result, net) = self.propagate_through(load, options)?;
+        let (result, net) = self.propagate_through(load, options, &[])?;
         Ok(net
             .sinks
             .into_iter()
@@ -451,7 +521,11 @@ impl AnalysisBackend for SpiceBackend {
             (input.delay + input.slew + 2.5 * stage.load().settle_horizon() + settle + ps(200.0))
                 .min(input.delay + golden.max_stop_time);
 
-        let result = run_transient(TransientOptions::try_new(golden.time_step, t_stop)?, &ckt)?;
+        let result = run_transient(
+            TransientOptions::try_new(golden.time_step, t_stop)?,
+            &ckt,
+            &[],
+        )?;
         let input_wave = result.waveform(nodes.input);
         let near = result.waveform(nodes.output);
         let vdd = spec.vdd;

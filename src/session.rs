@@ -14,7 +14,10 @@
 //!   far-end waveform into the dependent driver's input — a slew-referenced
 //!   ramp by default ([`crate::InputEvent::from_measured`]), or the full
 //!   sampled waveform when the backend reports
-//!   [`crate::BackendCaps::sampled_input`].
+//!   [`crate::BackendCaps::sampled_input`]. A ramp handoff from the primary
+//!   far end simulates the propagation only up to the far end's last
+//!   measured crossing ([`StageReport::far_end_handoff`]); the sampled
+//!   waveform and named sinks come from full-window runs.
 //! * Scheduling is topological over a work queue on the engine's thread
 //!   pool: independent stages run in parallel, dependents unblock the moment
 //!   their producer completes, cycles and unknown sink names are rejected at
@@ -164,11 +167,17 @@ struct SlotData {
     deps: Vec<usize>,
     /// Dependent slots to unblock (or poison) when this one completes.
     waiters: Vec<usize>,
-    /// Cached handoff propagations of a completed producer (primary far end
-    /// / named sinks), so N dependents fanning out of one producer run its
-    /// ms-scale propagation simulation once, not N times.
+    /// Cached handoff propagations of a completed producer, so N dependents
+    /// fanning out of one producer run its ms-scale propagation simulation
+    /// once, not N times: the full-window primary far end (the waveform a
+    /// sampled consumer reads), the named sinks, and the ramp handoff of
+    /// the primary far end. The ramp comes from a propagation that stopped
+    /// at the far end's 90 % crossing, so it is cached as the event alone:
+    /// a consumer that reads the waveform can never be served that
+    /// truncated run.
     far_cache: Option<Arc<crate::backend::FarEndReport>>,
     sinks_cache: Option<Arc<Vec<crate::backend::SinkFarEnd>>>,
+    ramp_cache: Option<(InputEvent, bool)>,
     /// Serializes the *computation* of the caches above: when N dependents
     /// resolve simultaneously, one holds the gate and simulates while the
     /// rest block on it and then read the cache, instead of all N racing
@@ -198,6 +207,7 @@ impl SlotData {
             waiters: Vec::new(),
             far_cache: None,
             sinks_cache: None,
+            ramp_cache: None,
             handoff_gate: Arc::new(Mutex::new(())),
             lints: Vec::new(),
             cache_key: None,
@@ -1017,6 +1027,9 @@ fn wait_for_work<'a>(shared: &'a Shared, st: MutexGuard<'a, State>) -> MutexGuar
 /// when present, otherwise running the far-end propagation), converts it to
 /// a slew-referenced ramp event, and attaches the sampled waveform when the
 /// consumer's backend negotiates [`crate::BackendCaps::sampled_input`].
+/// A primary-far-end handoff to a consumer that takes only the ramp runs the
+/// propagation only up to the far end's last measured crossing
+/// ([`StageReport::far_end_handoff`]).
 ///
 /// Alongside the resolved stage it returns any lint observations the handoff
 /// produced — today the `L030` Info lint when the propagation's sparse
@@ -1051,6 +1064,15 @@ fn resolve_input(
     };
 
     let producer_label = producer_stage.label().to_string();
+    let caps = shared.engine.backend_for(stage).caps();
+    let sampled_handoff = shared.options.sampled_handoff && caps.sampled_input;
+    let mut degrade_lint = |degraded: bool| {
+        if degraded {
+            handoff_lints.push(crate::backend::sparse_degrade_lint(&format!(
+                "far-end propagation of '{producer_label}'"
+            )));
+        }
+    };
     // Reusing the producer's already-simulated far end is negotiated: the
     // report must carry the waveform *and* the producer's backend must
     // declare [`crate::BackendCaps::simulates_far_end`].
@@ -1059,7 +1081,7 @@ fn resolve_input(
         .backend_for(&producer_stage)
         .caps()
         .simulates_far_end;
-    let (waveform, vdd, t50, slew) = match sink {
+    let (event, waveform, vdd) = match sink {
         None => match (&report.simulated_far_end, reuse_simulated) {
             (Some(sim), true) => {
                 let measured = sim.ramp_event().ok_or_else(|| {
@@ -1069,25 +1091,26 @@ fn resolve_input(
                     ))
                 })?;
                 (
-                    sim.waveform().clone(),
+                    InputEvent::from_measured(measured.t50(), 0.8 * measured.slew),
+                    Some(sim.waveform().clone()),
                     sim.vdd(),
-                    measured.t50(),
-                    0.8 * measured.slew,
+                )
+            }
+            // The sampled consumer reads the whole far-end waveform.
+            _ if sampled_handoff => {
+                let far = cached_far_end(shared, producer_index, &producer_stage, &report)?;
+                degrade_lint(far.degraded_to_dense);
+                (
+                    report.handoff_event(far.delay_from_input, far.slew),
+                    Some(far.waveform.clone()),
+                    report.vdd,
                 )
             }
             _ => {
-                let far = cached_far_end(shared, producer_index, &producer_stage, &report)?;
-                if far.degraded_to_dense {
-                    handoff_lints.push(crate::backend::sparse_degrade_lint(&format!(
-                        "far-end propagation of '{producer_label}'"
-                    )));
-                }
-                (
-                    far.waveform.clone(),
-                    report.vdd,
-                    report.input_t50 + far.delay_from_input,
-                    far.slew,
-                )
+                let (event, degraded) =
+                    cached_ramp_handoff(shared, producer_index, &producer_stage, &report)?;
+                degrade_lint(degraded);
+                (event, None, report.vdd)
             }
         },
         Some(name) => {
@@ -1127,65 +1150,111 @@ fn resolve_input(
                 )));
             }
             (
-                sink_report.waveform,
+                report.handoff_event(delay, slew),
+                Some(sink_report.waveform),
                 report.vdd,
-                report.input_t50 + delay,
-                slew,
             )
         }
     };
 
-    let event = InputEvent::from_measured(t50, slew);
-    let caps = shared.engine.backend_for(stage).caps();
-    let sampled = (shared.options.sampled_handoff && caps.sampled_input)
-        .then(|| SampledWaveform::new(waveform, vdd));
+    let sampled = waveform
+        .filter(|_| sampled_handoff)
+        .map(|waveform| SampledWaveform::new(waveform, vdd));
     Ok((stage.resolve_input(event, sampled), handoff_lints))
 }
 
-/// The producer's primary-far-end propagation, computed at most once per
-/// producer slot no matter how many dependents fan out of it: the slot's
-/// handoff gate serializes simultaneous resolvers, so one simulates while
-/// the rest wait and read the cache.
+/// Runs one of a producer slot's handoff propagations at most once no matter
+/// how many dependents fan out of it: the slot's handoff gate serializes
+/// simultaneous resolvers, so one computes while the rest wait and read what
+/// `cached` finds in the slot afterwards. `store` records a fresh result.
+fn computed_once<T>(
+    shared: &Shared,
+    index: usize,
+    cached: impl FnOnce(&SlotData) -> Option<T>,
+    compute: impl FnOnce() -> Result<T, EngineError>,
+    store: impl FnOnce(&mut SlotData, &T),
+) -> Result<T, EngineError> {
+    let gate = shared.state.lock().expect("session state").slots[index]
+        .handoff_gate
+        .clone();
+    let _serialized = gate.lock().expect("handoff gate");
+    if let Some(hit) = cached(&shared.state.lock().expect("session state").slots[index]) {
+        return Ok(hit);
+    }
+    let computed = compute()?;
+    store(
+        &mut shared.state.lock().expect("session state").slots[index],
+        &computed,
+    );
+    Ok(computed)
+}
+
+/// The producer's full-window primary-far-end propagation.
 fn cached_far_end(
     shared: &Shared,
     index: usize,
     producer_stage: &Stage,
     report: &StageReport,
 ) -> Result<Arc<crate::backend::FarEndReport>, EngineError> {
-    let gate = shared.state.lock().expect("session state").slots[index]
-        .handoff_gate
-        .clone();
-    let _serialized = gate.lock().expect("handoff gate");
-    if let Some(cached) = shared.state.lock().expect("session state").slots[index]
-        .far_cache
-        .clone()
-    {
-        return Ok(cached);
-    }
-    let computed = Arc::new(report.far_end(producer_stage.load(), &shared.options.far_end)?);
-    let mut st = shared.state.lock().expect("session state");
-    Ok(st.slots[index].far_cache.get_or_insert(computed).clone())
+    computed_once(
+        shared,
+        index,
+        |slot| slot.far_cache.clone(),
+        || {
+            Ok(Arc::new(
+                report.far_end(producer_stage.load(), &shared.options.far_end)?,
+            ))
+        },
+        |slot, far| slot.far_cache = Some(far.clone()),
+    )
 }
 
-/// The producer's per-sink propagation, computed at most once per producer
-/// slot ([`cached_far_end`]'s multi-sink sibling).
+/// The producer's ramp handoff: read off the full-window propagation when a
+/// sampled consumer already ran it (the event is bit-identical either way),
+/// otherwise from a propagation that stops at the far end's last measured
+/// crossing.
+fn cached_ramp_handoff(
+    shared: &Shared,
+    index: usize,
+    producer_stage: &Stage,
+    report: &StageReport,
+) -> Result<(InputEvent, bool), EngineError> {
+    computed_once(
+        shared,
+        index,
+        |slot| {
+            slot.ramp_cache.or_else(|| {
+                slot.far_cache.as_ref().map(|far| {
+                    (
+                        report.handoff_event(far.delay_from_input, far.slew),
+                        far.degraded_to_dense,
+                    )
+                })
+            })
+        },
+        || report.far_end_handoff(producer_stage.load(), &shared.options.far_end),
+        |slot, ramp| slot.ramp_cache = Some(*ramp),
+    )
+}
+
+/// The producer's per-sink propagation ([`cached_far_end`]'s multi-sink
+/// sibling).
 fn cached_far_end_sinks(
     shared: &Shared,
     index: usize,
     producer_stage: &Stage,
     report: &StageReport,
 ) -> Result<Arc<Vec<crate::backend::SinkFarEnd>>, EngineError> {
-    let gate = shared.state.lock().expect("session state").slots[index]
-        .handoff_gate
-        .clone();
-    let _serialized = gate.lock().expect("handoff gate");
-    if let Some(cached) = shared.state.lock().expect("session state").slots[index]
-        .sinks_cache
-        .clone()
-    {
-        return Ok(cached);
-    }
-    let computed = Arc::new(report.far_end_sinks(producer_stage.load(), &shared.options.far_end)?);
-    let mut st = shared.state.lock().expect("session state");
-    Ok(st.slots[index].sinks_cache.get_or_insert(computed).clone())
+    computed_once(
+        shared,
+        index,
+        |slot| slot.sinks_cache.clone(),
+        || {
+            Ok(Arc::new(report.far_end_sinks(
+                producer_stage.load(),
+                &shared.options.far_end,
+            )?))
+        },
+        |slot, sinks| slot.sinks_cache = Some(sinks.clone()),
+    )
 }

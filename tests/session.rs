@@ -43,11 +43,13 @@ fn line_stage(cell: &Arc<DriverCell>, label: &str) -> rlc_ceff_suite::StageBuild
 }
 
 /// The acceptance criterion: a 4-stage dependent path analyzed through the
-/// session matches manually-chained `analyze` + far-end propagation calls to
-/// within 1e-9 relative on every per-stage delay and slew. The chain passes
-/// through a line, a branching RLC tree (named sink) and another line.
+/// session matches manually-chained `analyze` + full-window far-end
+/// propagation calls bit for bit on every per-stage delay, slew and input
+/// crossing, although the session's ramp handoffs stop each propagation at
+/// the far end's last measured crossing. The chain passes through a line, a
+/// branching RLC tree (named sink) and another line.
 #[test]
-fn chained_session_matches_manual_propagation_to_1e_minus_9() {
+fn chained_session_matches_manual_propagation_bit_for_bit() {
     let cell = Arc::new(synthetic_cell(75.0, 70.0));
     let engine = fast_engine();
     let far_opts = fast_far_opts();
@@ -121,12 +123,10 @@ fn chained_session_matches_manual_propagation_to_1e_minus_9() {
     assert_eq!(results.len(), 4);
     for ((_, outcome), reference) in results.iter().zip(&manual) {
         let report = outcome.as_ref().expect("every chained stage succeeds");
-        let delay_err = (report.delay - reference.delay).abs() / reference.delay;
-        let slew_err = (report.slew - reference.slew).abs() / reference.slew;
-        let t50_err = (report.input_t50 - reference.input_t50).abs() / reference.input_t50;
-        assert!(
-            delay_err <= 1e-9 && slew_err <= 1e-9 && t50_err <= 1e-9,
-            "{}: delay err {delay_err:.2e}, slew err {slew_err:.2e}, t50 err {t50_err:.2e}",
+        assert_eq!(
+            [report.delay, report.slew, report.input_t50].map(f64::to_bits),
+            [reference.delay, reference.slew, reference.input_t50].map(f64::to_bits),
+            "{}",
             report.label
         );
     }
@@ -984,6 +984,102 @@ fn fan_out_propagates_the_producer_once() {
         2,
         "one audit synthesis + one shared propagation simulation"
     );
+}
+
+/// The bits a report's consumers read: delay, slew, input crossing, and the
+/// driver-output waveform sampled across its span.
+fn report_bits(report: &StageReport) -> Vec<u64> {
+    let end = report.waveform.end_time();
+    [report.delay, report.slew, report.input_t50]
+        .into_iter()
+        .chain((0..=200).map(|k| report.waveform.v(end * k as f64 / 200.0)))
+        .map(f64::to_bits)
+        .collect()
+}
+
+/// One analytic producer feeds consumers on both sides of the handoff: the
+/// analytic consumer takes the ramp, whose propagation stops at the far
+/// end's 90 % crossing, while the SPICE consumer reads the sampled far-end
+/// waveform and must get the full-window run whichever consumer resolves
+/// first. Each report must equal, bit for bit, the one a session with that
+/// consumer alone produces.
+#[test]
+fn sampled_consumer_gets_the_full_window_whoever_resolves_first() {
+    let cell = Arc::new(synthetic_cell(75.0, 70.0));
+    let engine = fast_engine();
+    // Returns each consumer's report (`true` marks a SPICE consumer) and the
+    // number of times the producer's netlist was attached.
+    let run = |spice_consumers: &[bool]| -> (Vec<StageReport>, usize) {
+        let attaches = Arc::new(AtomicUsize::new(0));
+        // One worker: the consumers resolve in submission order.
+        let mut session = engine.session_with(
+            SessionOptions::default()
+                .with_far_end(fast_far_opts())
+                .with_max_in_flight(1),
+        );
+        let producer = session
+            .submit(
+                Stage::builder_shared(
+                    cell.clone(),
+                    Arc::new(CountingLoad {
+                        inner: DistributedRlcLoad::new(paper_line(), ff(10.0)).unwrap(),
+                        attaches: attaches.clone(),
+                    }),
+                )
+                .label("producer")
+                .input_slew(ps(100.0))
+                .build()
+                .unwrap(),
+            )
+            .unwrap();
+        let consumers: Vec<_> = spice_consumers
+            .iter()
+            .map(|&spice| {
+                let builder = Stage::builder_shared(
+                    cell.clone(),
+                    Arc::new(LumpedCapLoad::new(ff(300.0)).unwrap()),
+                )
+                .label(if spice { "spice" } else { "analytic" })
+                .input_from(producer);
+                let builder = if spice {
+                    builder.backend(BackendChoice::Spice)
+                } else {
+                    builder
+                };
+                session.submit(builder.build().unwrap()).unwrap()
+            })
+            .collect();
+        let results: std::collections::HashMap<_, _> = session.wait_all().into_iter().collect();
+        let reports = consumers
+            .iter()
+            .map(|h| results[h].as_ref().expect("consumer succeeds").clone())
+            .collect();
+        (reports, attaches.load(Ordering::SeqCst))
+    };
+
+    let (spice_alone, _) = run(&[true]);
+    let (analytic_alone, _) = run(&[false]);
+    // Both orders, counting attaches beyond the submit-time audit synthesis.
+    for (order, propagations) in [([false, true], 2), ([true, false], 1)] {
+        let (reports, attaches) = run(&order);
+        for (report, spice) in reports.iter().zip(order) {
+            let alone = if spice {
+                &spice_alone[0]
+            } else {
+                &analytic_alone[0]
+            };
+            assert_eq!(
+                report_bits(report),
+                report_bits(alone),
+                "{} consumer, order {order:?}",
+                report.label
+            );
+        }
+        // Analytic first: the early-stopped ramp run, then the full window
+        // for the SPICE consumer. SPICE first: the full window alone, which
+        // the ramp handoff then reads.
+        assert_eq!(attaches, 1 + propagations, "order {order:?}");
+    }
 }
 
 /// A reservation that is never filled fails at `wait_all`, poisoning its
