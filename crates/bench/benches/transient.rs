@@ -2,9 +2,8 @@
 //! full-reassembly kernel versus the sparse factor-once LTI path and the
 //! split-stamp Newton loop, on the fig4-style RLC-ladder transient and a
 //! characterization-style grid of inverter runs — plus the `AnalysisSession`
-//! scheduling benches (`path_chain_4stage`, `session_wide_batch_16`), which
-//! assert the session's overhead stays within budget against hand-rolled
-//! sequential propagation and the deprecated `analyze_many` fan-out.
+//! scheduling bench (`path_chain_4stage`), which asserts the session's
+//! overhead stays within budget against hand-rolled sequential propagation.
 //! Results are written to `BENCH_transient.json` so the perf trajectory of
 //! the hot path is recorded.
 //!
@@ -678,8 +677,8 @@ fn main() {
             })
             .collect();
 
-        // The session cases gate CI on a ratio of two timings, so measure
-        // them at the default fidelity (9 samples) instead of the kernel
+        // The session case gates CI on a ratio of two timings, so measure
+        // it at the default fidelity (9 samples) instead of the kernel
         // benches' 3-sample slow mode — a 4-stage chain is ~10 ms, cheap
         // enough to sample properly.
         let mut session_runner = Runner::new("transient/session");
@@ -729,45 +728,6 @@ fn main() {
             optimized_ns: chained.as_nanos(),
         });
 
-        // A wide independent batch: the session must keep the deprecated
-        // analyze_many's parallel throughput.
-        let wide: Vec<Stage> = (0..16)
-            .map(|i| {
-                Stage::builder_shared(
-                    cell.clone(),
-                    Arc::new(DistributedRlcLoad::new(chain_line, ff(10.0 + i as f64)).unwrap()),
-                )
-                .label("wide")
-                .input_slew(ps(100.0))
-                .build()
-                .unwrap()
-            })
-            .collect();
-        let wide_engine = TimingEngine::new(
-            EngineConfig::builder()
-                .extract_rs_per_case(false)
-                .threads(4)
-                .build(),
-        );
-        #[allow(deprecated)] // benchmarking the shim against the session
-        let flat = session_runner.bench("session_wide_batch_16/analyze_many", || {
-            let batch = wide_engine.analyze_many(black_box(&wide));
-            assert!(batch.all_ok());
-            black_box(batch.len())
-        });
-        let via_session = session_runner.bench("session_wide_batch_16/session", || {
-            let mut session = wide_engine.session();
-            session.submit_all(wide.iter().cloned()).unwrap();
-            let results = session.wait_all();
-            assert!(results.iter().all(|(_, r)| r.is_ok()));
-            black_box(results.len())
-        });
-        results.push(BenchComparison {
-            name: "session_wide_batch_16".to_string(),
-            baseline_ns: flat.as_nanos(),
-            optimized_ns: via_session.as_nanos(),
-        });
-
         // Budget check (the CI smoke step relies on this assert). Both sides
         // are wall-clock medians, so the budgets guard against pathological
         // scheduling regressions rather than restating the measurement: the
@@ -775,14 +735,15 @@ fn main() {
         // (~4%, inside the < 5% target), and re-runs on other machines must
         // not flake on a point measurement's jitter.
         let budget = if smoke { 1.50 } else { 1.10 };
-        for name in ["path_chain_4stage", "session_wide_batch_16"] {
-            let case = results.iter().find(|r| r.name == name).unwrap();
-            let ratio = case.optimized_ns as f64 / case.baseline_ns as f64;
-            assert!(
-                ratio <= budget,
-                "{name}: session overhead ratio {ratio:.3} exceeds budget {budget:.2}"
-            );
-        }
+        let case = results
+            .iter()
+            .find(|r| r.name == "path_chain_4stage")
+            .unwrap();
+        let ratio = case.optimized_ns as f64 / case.baseline_ns as f64;
+        assert!(
+            ratio <= budget,
+            "path_chain_4stage: session overhead ratio {ratio:.3} exceeds budget {budget:.2}"
+        );
     }
 
     for r in &results {

@@ -5,37 +5,32 @@
 //! in-memory only. This module persists characterized cells in a cache
 //! directory so warm processes skip the simulations entirely.
 //!
-//! ## Design
+//! [`CharCache`] is a typed view over [`rlc_numeric::codec::BlobStore`],
+//! which owns the entry envelope (magic `RLCCHAR\0`, [`FORMAT_VERSION`],
+//! echoed key, length-prefixed payload, FNV-1a checksum), verify-on-load
+//! and the atomic temp-file-then-rename write. This module owns the rest:
 //!
-//! * **Content-addressed keys.** A cell's cache key is a 64-bit FNV-1a hash
-//!   over the *complete* characterization request: the format version, every
+//! * **Content-addressed keys.** A cell's cache key is the FNV-1a hash of
+//!   the *complete* characterization request: the format version, every
 //!   field of the inverter description (widths, supply, both transistor
 //!   models) and every knob of the [`CharacterizationGrid`] (both axes, the
 //!   transient time step — the accuracy tolerance of the characterization —
 //!   and the output transition). Changing any of them changes the key, so a
 //!   stale entry can never be returned for a new request; invalidation is
 //!   automatic and needs no manifest.
-//! * **Versioned binary format.** Entries are stored in a hand-rolled binary
-//!   format (the workspace is dependency-free by policy): a magic string, a
-//!   format version, the echoed key, a length-prefixed payload holding the
-//!   exact IEEE-754 bit patterns of the timing table, and a payload checksum.
-//!   Loads re-derive the key and re-verify every field; any mismatch —
-//!   truncation, stale version, foreign key, flipped payload bits — makes the
-//!   load return `None` and the caller silently re-characterizes.
-//! * **Atomic publication.** Writers serialize to a process/sequence-unique
-//!   temporary file in the cache directory and `rename` it into place.
-//!   Renames within a directory are atomic, so concurrent readers observe
-//!   either no file or a complete one, never a torn write; concurrent writers
-//!   of the same key race benignly (both produce identical bytes).
+//! * **The payload** ([`CharCache::payload`]): the inverter description and
+//!   the exact IEEE-754 bit patterns of the timing table and on-resistance,
+//!   in the [`rlc_numeric::codec`] encoding. A load checks the stored
+//!   description against the request and the table axes before building
+//!   the cell; any mismatch, like any envelope damage, makes the load
+//!   return `None` and the caller silently re-characterizes.
 //!
 //! Because the payload stores raw `f64` bit patterns, a warm load returns
 //! tables **bit-identical** to the cold characterization that produced them.
 
-use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
+use rlc_numeric::codec::{fnv1a, BlobStore, Decoder, Encoder};
 use rlc_spice::mosfet::{MosfetParams, MosfetType};
 use rlc_spice::testbench::{InverterSpec, OutputTransition};
 
@@ -52,17 +47,13 @@ const MAGIC: &[u8; 8] = b"RLCCHAR\0";
 /// silently ignored (and eventually overwritten) rather than misparsed.
 pub const FORMAT_VERSION: u32 = 1;
 
-/// Distinguishes temporary files from concurrent writers of the same key in
-/// the same process (threads sharing one PID).
-static TMP_NONCE: AtomicU64 = AtomicU64::new(0);
-
 /// A directory of persisted characterization results.
 ///
 /// Opened by [`crate::Library::open_cached`]; usable directly when a flow
 /// manages its own lookups.
 #[derive(Debug, Clone)]
 pub struct CharCache {
-    dir: PathBuf,
+    store: BlobStore,
 }
 
 impl CharCache {
@@ -71,19 +62,19 @@ impl CharCache {
     /// # Errors
     /// Returns [`CharlibError::Cache`] when the directory cannot be created.
     pub fn open(dir: impl AsRef<Path>) -> Result<Self, CharlibError> {
-        let dir = dir.as_ref().to_path_buf();
-        fs::create_dir_all(&dir).map_err(|e| {
+        let dir = dir.as_ref();
+        let store = BlobStore::open(dir, MAGIC, FORMAT_VERSION, "cell").map_err(|e| {
             CharlibError::Cache(format!(
                 "cannot create cache directory {}: {e}",
                 dir.display()
             ))
         })?;
-        Ok(CharCache { dir })
+        Ok(CharCache { store })
     }
 
     /// The cache directory.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.store.dir()
     }
 
     /// The content key of a characterization request: format version, full
@@ -93,19 +84,39 @@ impl CharCache {
     /// `encode_spec` used for the payload — so the keyed field list and the
     /// stored field list cannot silently diverge when fields are added.
     pub fn key(spec: &InverterSpec, grid: &CharacterizationGrid) -> u64 {
-        let mut e = Encoder(Vec::new());
+        let mut e = Encoder::new();
         e.u32(FORMAT_VERSION);
         encode_spec(&mut e, spec);
-        e.f64_slice(&grid.slew_axis);
-        e.f64_slice(&grid.load_axis);
+        e.f64s(&grid.slew_axis);
+        e.f64s(&grid.load_axis);
         e.f64(grid.time_step);
-        e.u8(transition_tag(grid.transition));
-        fnv_of(&e.0)
+        e.u8(match grid.transition {
+            OutputTransition::Rising => 0,
+            OutputTransition::Falling => 1,
+        });
+        fnv1a(&e.finish())
+    }
+
+    /// The one byte encoding of a characterized cell: its inverter
+    /// description, timing table and on-resistance. It is the payload of the
+    /// cell's cache entry, and its FNV-1a hash is the cell's fingerprint in
+    /// stage-result cache keys.
+    pub fn payload(cell: &DriverCell) -> Vec<u8> {
+        let mut e = Encoder::new();
+        encode_spec(&mut e, cell.spec());
+        let table = cell.table();
+        e.f64s(table.slew_axis());
+        e.f64s(table.load_axis());
+        for row in table.delay_rows().iter().chain(table.transition_rows()) {
+            e.f64s(row);
+        }
+        e.f64(cell.on_resistance());
+        e.finish()
     }
 
     /// Path of the entry for a key.
     pub fn entry_path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("cell-{key:016x}.bin"))
+        self.store.entry_path(key)
     }
 
     /// Loads the cell persisted for this characterization request, or `None`
@@ -114,9 +125,8 @@ impl CharCache {
     /// `None` simply means "characterize and store again" — the cache never
     /// turns disk problems into analysis failures.
     pub fn load(&self, spec: &InverterSpec, grid: &CharacterizationGrid) -> Option<DriverCell> {
-        let key = Self::key(spec, grid);
-        let bytes = fs::read(self.entry_path(key)).ok()?;
-        decode_entry(&bytes, key, spec)
+        self.store
+            .load(Self::key(spec, grid), |payload| decode_cell(payload, spec))
     }
 
     /// Persists a characterized cell under the key of the request that
@@ -133,117 +143,12 @@ impl CharCache {
         grid: &CharacterizationGrid,
     ) -> Result<(), CharlibError> {
         let key = Self::key(cell.spec(), grid);
-        let bytes = encode_entry(cell, key);
-        let nonce = TMP_NONCE.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.dir.join(format!(
-            ".cell-{key:016x}.{}.{nonce}.tmp",
-            std::process::id()
-        ));
-        let write = (|| -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&bytes)?;
-            f.sync_all()?;
-            fs::rename(&tmp, self.entry_path(key))
-        })();
-        if let Err(e) = write {
-            let _ = fs::remove_file(&tmp);
-            return Err(CharlibError::Cache(format!(
+        self.store.store(key, &Self::payload(cell)).map_err(|e| {
+            CharlibError::Cache(format!(
                 "cannot persist cache entry {}: {e}",
                 self.entry_path(key).display()
-            )));
-        }
-        Ok(())
-    }
-}
-
-fn transition_tag(t: OutputTransition) -> u8 {
-    match t {
-        OutputTransition::Rising => 0,
-        OutputTransition::Falling => 1,
-    }
-}
-
-/// 64-bit FNV-1a: tiny, dependency-free, and stable across platforms (the
-/// whole point of a shared on-disk cache).
-fn fnv_of(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-// --- serialization -------------------------------------------------------
-
-struct Encoder(Vec<u8>);
-
-impl Encoder {
-    fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    fn f64_slice(&mut self, vs: &[f64]) {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.f64(v);
-        }
-    }
-}
-
-struct Decoder<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Decoder<'a> {
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-
-    fn f64_vec(&mut self) -> Option<Vec<f64>> {
-        let n = self.u64()?;
-        // A length prefix larger than the remaining bytes is corruption;
-        // bail before reserving memory for it.
-        if (n as usize).checked_mul(8)? > self.bytes.len() - self.pos {
-            return None;
-        }
-        (0..n).map(|_| self.f64()).collect()
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
+            ))
+        })
     }
 }
 
@@ -293,60 +198,10 @@ fn decode_params(d: &mut Decoder) -> Option<MosfetParams> {
     })
 }
 
-/// Serializes a full cache entry (header + payload + checksum).
-fn encode_entry(cell: &DriverCell, key: u64) -> Vec<u8> {
-    let mut payload = Encoder(Vec::new());
-    encode_spec(&mut payload, cell.spec());
-    let table = cell.table();
-    payload.f64_slice(table.slew_axis());
-    payload.f64_slice(table.load_axis());
-    for row in table.delay_rows() {
-        payload.f64_slice(row);
-    }
-    for row in table.transition_rows() {
-        payload.f64_slice(row);
-    }
-    payload.f64(cell.on_resistance());
-    let payload = payload.0;
-
-    let mut out = Encoder(Vec::with_capacity(payload.len() + 36));
-    out.0.extend_from_slice(MAGIC);
-    out.u32(FORMAT_VERSION);
-    out.u64(key);
-    out.u64(payload.len() as u64);
-    out.0.extend_from_slice(&payload);
-    out.u64(fnv_of(&payload));
-    out.0
-}
-
-/// Parses and validates a cache entry; `None` on any inconsistency.
-fn decode_entry(
-    bytes: &[u8],
-    expected_key: u64,
-    expected_spec: &InverterSpec,
-) -> Option<DriverCell> {
-    let mut d = Decoder { bytes, pos: 0 };
-    if d.take(MAGIC.len())? != MAGIC {
-        return None;
-    }
-    if d.u32()? != FORMAT_VERSION {
-        return None;
-    }
-    if d.u64()? != expected_key {
-        return None;
-    }
-    let payload_len = d.u64()? as usize;
-    let payload_start = d.pos;
-    let payload = d.take(payload_len)?;
-    let checksum = d.u64()?;
-    if !d.done() || fnv_of(payload) != checksum {
-        return None;
-    }
-
-    let mut d = Decoder {
-        bytes: &bytes[payload_start..payload_start + payload_len],
-        pos: 0,
-    };
+/// Parses and validates a [`CharCache::payload`]; `None` on any
+/// inconsistency.
+fn decode_cell(payload: &[u8], expected_spec: &InverterSpec) -> Option<DriverCell> {
+    let mut d = Decoder::new(payload);
     let nmos_width = d.f64()?;
     let pmos_width = d.f64()?;
     let vdd = d.f64()?;
@@ -365,15 +220,15 @@ fn decode_entry(
     if spec != *expected_spec {
         return None;
     }
-    let slew_axis = d.f64_vec()?;
-    let load_axis = d.f64_vec()?;
+    let slew_axis = d.f64s()?;
+    let load_axis = d.f64s()?;
     if slew_axis.len() < 2 || load_axis.len() < 2 {
         return None;
     }
     let read_grid = |d: &mut Decoder| -> Option<Vec<Vec<f64>>> {
         (0..slew_axis.len())
             .map(|_| {
-                let row = d.f64_vec()?;
+                let row = d.f64s()?;
                 (row.len() == load_axis.len()).then_some(row)
             })
             .collect()
@@ -406,6 +261,7 @@ fn decode_entry(
 mod tests {
     use super::*;
     use rlc_numeric::units::{ff, pf, ps};
+    use std::fs;
 
     fn dummy_cell(size: f64) -> DriverCell {
         let slews = vec![ps(50.0), ps(100.0)];

@@ -75,19 +75,6 @@ impl<'a> AnalysisCase<'a> {
         })
     }
 
-    /// Creates a case with the default 20 ps input delay.
-    ///
-    /// # Panics
-    /// Panics if `input_slew <= 0` or `c_load < 0`.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use AnalysisCase::try_new (or the rlc-ceff-suite Stage builder), which \
-                returns a Result instead of panicking on bad inputs"
-    )]
-    pub fn new(cell: &'a DriverCell, line: &'a RlcLine, c_load: f64, input_slew: f64) -> Self {
-        Self::try_new(cell, line, c_load, input_slew).expect("invalid analysis case")
-    }
-
     /// Sets the absolute start time of the input ramp (builder style).
     pub fn with_input_delay(mut self, input_delay: f64) -> Self {
         self.input_delay = input_delay;

@@ -7,7 +7,8 @@
 //! needed by the paper (complex arithmetic for pole handling, truncated power
 //! series for moment propagation, dense LU for the MNA simulator, root
 //! finding and interpolation for the Ceff iterations and cell tables) is small
-//! and is implemented here with thorough tests.
+//! and is implemented here with thorough tests. So is the one byte codec
+//! ([`codec`]) that the caches and the service wire share.
 //!
 //! ## Example
 //!
@@ -25,6 +26,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod codec;
 pub mod complex;
 pub mod diag;
 pub mod interp;

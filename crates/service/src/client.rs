@@ -395,9 +395,8 @@ impl ServiceClient {
                 None => return Err(ServiceError::Wire(crate::wire::WireError::Truncated)),
             };
             match Response::decode(&payload)? {
-                // Servers batch the drain into one `Reports` frame; the
-                // per-stage `Report` arm stays for older peers and for
-                // coordinators that stream as shards finish.
+                // The server and the shard coordinator both answer with one
+                // `Reports` frame for the whole drain, then `Done`.
                 Response::Reports { reports } => {
                     for (index, outcome) in reports {
                         self.collected.insert(
@@ -405,12 +404,6 @@ impl ServiceClient {
                             outcome.map_err(|(code, message)| ServiceError::remote(code, message)),
                         );
                     }
-                }
-                Response::Report { index, outcome } => {
-                    self.collected.insert(
-                        index,
-                        outcome.map_err(|(code, message)| ServiceError::remote(code, message)),
-                    );
                 }
                 Response::Done { .. } => break,
                 Response::Error { code, message } => {

@@ -15,7 +15,9 @@
 //! unrepresentable on the wire, and the server validates indices against the
 //! session it owns.
 
-use crate::wire::{Decoder, Encoder, WireError};
+use rlc_numeric::codec::{fnv1a, Decoder, Encoder};
+
+use crate::wire::WireError;
 
 /// Session options a client carries across the wire when opening a session
 /// ([`Request::Hello`]). The deadline is a *duration* (nanoseconds) measured
@@ -283,7 +285,7 @@ impl WireLoad {
                         None => e.bool(false),
                         Some((name, c_load)) => {
                             e.bool(true);
-                            e.string(name);
+                            e.str(name);
                             e.f64(*c_load);
                         }
                     }
@@ -323,16 +325,14 @@ impl WireLoad {
                 c_load: d.f64()?,
             }),
             3 => {
-                let n = d.u64()? as usize;
-                // A branch encodes to >= 34 bytes; cap pre-allocation by the
-                // remaining payload, so a corrupt count cannot force a huge
-                // allocation before decoding fails.
+                // A branch encodes to at least 34 bytes.
+                let n = d.count(34)?;
                 let mut branches = Vec::new();
                 for _ in 0..n {
                     let parent = if d.bool()? { Some(d.u64()?) } else { None };
                     let line = WireLine::decode(d)?;
                     let sink = if d.bool()? {
-                        Some((d.string()?, d.f64()?))
+                        Some((d.str()?, d.f64()?))
                     } else {
                         None
                     };
@@ -410,7 +410,7 @@ impl WireInput {
             WireInput::FromSink { producer, sink } => {
                 e.u8(2);
                 e.u64(*producer);
-                e.string(sink);
+                e.str(sink);
             }
         }
     }
@@ -425,7 +425,7 @@ impl WireInput {
             1 => Some(WireInput::FromFarEnd { producer: d.u64()? }),
             2 => Some(WireInput::FromSink {
                 producer: d.u64()?,
-                sink: d.string()?,
+                sink: d.str()?,
             }),
             _ => None,
         }
@@ -480,11 +480,11 @@ impl WireStage {
     }
 
     fn encode(&self, e: &mut Encoder) {
-        e.string(&self.label);
+        e.str(&self.label);
         self.cell.encode(e);
         self.load.encode(e);
         self.input.encode(e);
-        e.u64_slice(&self.after);
+        e.u64s(&self.after);
         e.u8(match self.backend {
             WireBackend::Default => 0,
             WireBackend::Analytic => 1,
@@ -494,11 +494,11 @@ impl WireStage {
 
     fn decode(d: &mut Decoder) -> Option<Self> {
         Some(WireStage {
-            label: d.string()?,
+            label: d.str()?,
             cell: WireCellRef::decode(d)?,
             load: WireLoad::decode(d)?,
             input: WireInput::decode(d)?,
-            after: d.u64_vec()?,
+            after: d.u64s()?,
             backend: match d.u8()? {
                 0 => WireBackend::Default,
                 1 => WireBackend::Analytic,
@@ -515,7 +515,7 @@ impl WireStage {
         let mut e = Encoder::new();
         self.cell.encode(&mut e);
         self.load.encode(&mut e);
-        crate::wire::fnv(&e.0)
+        fnv1a(&e.finish())
     }
 }
 
@@ -544,8 +544,8 @@ pub struct WireReport {
 
 impl WireReport {
     fn encode(&self, e: &mut Encoder) {
-        e.string(&self.label);
-        e.string(&self.backend);
+        e.str(&self.label);
+        e.str(&self.backend);
         e.f64(self.delay);
         e.f64(self.slew);
         e.f64(self.input_t50);
@@ -556,8 +556,8 @@ impl WireReport {
 
     fn decode(d: &mut Decoder) -> Option<Self> {
         Some(WireReport {
-            label: d.string()?,
-            backend: d.string()?,
+            label: d.str()?,
+            backend: d.str()?,
             delay: d.f64()?,
             slew: d.f64()?,
             input_t50: d.f64()?,
@@ -587,14 +587,14 @@ pub struct WireDiagnostic {
 
 impl WireDiagnostic {
     fn encode(&self, e: &mut Encoder) {
-        e.string(&self.code);
+        e.str(&self.code);
         e.u8(self.severity);
-        e.string(&self.locus);
-        e.string(&self.message);
+        e.str(&self.locus);
+        e.str(&self.message);
     }
 
     fn decode(d: &mut Decoder) -> Option<Self> {
-        let code = d.string()?;
+        let code = d.str()?;
         let severity = d.u8()?;
         if severity > 2 {
             return None;
@@ -602,8 +602,8 @@ impl WireDiagnostic {
         Some(WireDiagnostic {
             code,
             severity,
-            locus: d.string()?,
-            message: d.string()?,
+            locus: d.str()?,
+            message: d.str()?,
         })
     }
 }
@@ -621,7 +621,7 @@ fn encode_outcome(outcome: &WireOutcome, e: &mut Encoder) {
         Err((code, message)) => {
             e.bool(false);
             e.u16(*code);
-            e.string(message);
+            e.str(message);
         }
     }
 }
@@ -630,7 +630,7 @@ fn decode_outcome(d: &mut Decoder) -> Option<WireOutcome> {
     if d.bool()? {
         Some(Ok(WireReport::decode(d)?))
     } else {
-        Some(Err((d.u16()?, d.string()?)))
+        Some(Err((d.u16()?, d.str()?)))
     }
 }
 
@@ -657,8 +657,8 @@ pub enum Request {
     /// coordinator uses to multiplex one client across many workers without
     /// parking a thread per shard.
     PollReport,
-    /// Streams every not-yet-reported outcome as [`Response::Report`]
-    /// frames, then [`Response::Done`].
+    /// Drains every not-yet-reported outcome into one
+    /// [`Response::Reports`] frame, then [`Response::Done`].
     WaitAll,
     /// Cancels everything that has not started running. Replies
     /// [`Response::CancelAck`]; cancelled stages still produce their typed
@@ -702,7 +702,7 @@ impl Request {
                 stage.encode(&mut e);
             }
         }
-        e.0
+        e.finish()
     }
 
     /// Decodes a frame payload as a request.
@@ -790,8 +790,8 @@ pub enum Response {
     },
     /// A batch of completed stages in one frame — what [`Request::WaitAll`]
     /// answers with, so draining a wide session costs one frame, not one
-    /// per stage. The per-stage [`Response::Report`] streaming path
-    /// (`NextReport` / `PollReport`) is unchanged.
+    /// per stage. [`Response::Report`] answers `NextReport` and
+    /// `PollReport` only.
     Reports {
         /// `(submission index, outcome)` pairs, in completion order.
         reports: Vec<(u64, WireOutcome)>,
@@ -825,7 +825,7 @@ impl Response {
             Response::Error { code, message } => {
                 e.u8(10);
                 e.u16(*code);
-                e.string(message);
+                e.str(message);
             }
             Response::LintReport { diagnostics } => {
                 e.u8(11);
@@ -843,7 +843,7 @@ impl Response {
                 }
             }
         }
-        e.0
+        e.finish()
     }
 
     /// Decodes a frame payload as a response.
@@ -869,12 +869,11 @@ impl Response {
                 9 => Response::Bye,
                 10 => Response::Error {
                     code: d.u16()?,
-                    message: d.string()?,
+                    message: d.str()?,
                 },
                 11 => {
-                    let n = d.u64()? as usize;
-                    // A diagnostic encodes to >= 13 bytes; decoding fails
-                    // fast on a corrupt count, so no pre-allocation by `n`.
+                    // A diagnostic encodes to at least 25 bytes.
+                    let n = d.count(25)?;
                     let mut diagnostics = Vec::new();
                     for _ in 0..n {
                         diagnostics.push(WireDiagnostic::decode(&mut d)?);
@@ -882,9 +881,8 @@ impl Response {
                     Response::LintReport { diagnostics }
                 }
                 12 => {
-                    let n = d.u64()? as usize;
-                    // An entry encodes to >= 12 bytes; decoding fails fast
-                    // on a corrupt count, so no pre-allocation by `n`.
+                    // An entry encodes to at least 19 bytes.
+                    let n = d.count(19)?;
                     let mut reports = Vec::new();
                     for _ in 0..n {
                         reports.push((d.u64()?, decode_outcome(&mut d)?));
@@ -1148,7 +1146,7 @@ mod tests {
         lying_count.u8(12);
         lying_count.u64(u64::MAX);
         lying_count.u64(4);
-        assert!(Response::decode(&lying_count.0).is_err());
+        assert!(Response::decode(&lying_count.finish()).is_err());
         let full = Response::Reports {
             reports: vec![(4, Err((12, "poisoned".into())))],
         }

@@ -1,8 +1,9 @@
 //! Frame layer of the service protocol: length-prefixed, versioned,
 //! checksummed binary frames over any `Read`/`Write` pair.
 //!
-//! The workspace is dependency-free by policy, so the framing is hand-rolled
-//! the same way [`rlc_charlib::cache::CharCache`]'s on-disk format is:
+//! Payloads are encoded with [`rlc_numeric::codec`], the byte codec the
+//! on-disk caches use, and checksummed with its [`fnv1a`]. A frame streams
+//! and carries no key, so this module keeps only the framing:
 //!
 //! ```text
 //! magic            8 bytes   b"RLCWIRE\0"
@@ -20,6 +21,8 @@
 //! abuse and closes too (after the typed error is reported).
 
 use std::io::{Read, Write};
+
+use rlc_numeric::codec::fnv1a;
 
 /// Magic bytes opening every frame.
 pub const MAGIC: &[u8; 8] = b"RLCWIRE\0";
@@ -102,17 +105,6 @@ impl From<std::io::Error> for WireError {
     }
 }
 
-/// 64-bit FNV-1a, byte-for-byte the same function `CharCache` uses — small,
-/// dependency-free, stable across platforms.
-pub fn fnv(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
 /// Writes one frame around `payload`.
 ///
 /// # Errors
@@ -129,7 +121,7 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), WireError> 
     frame.extend_from_slice(&PROTOCOL_VERSION.to_le_bytes());
     frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     frame.extend_from_slice(payload);
-    frame.extend_from_slice(&fnv(payload).to_le_bytes());
+    frame.extend_from_slice(&fnv1a(payload).to_le_bytes());
     w.write_all(&frame)?;
     w.flush()?;
     Ok(())
@@ -173,7 +165,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, WireError> {
     if version != PROTOCOL_VERSION {
         return Err(WireError::StaleVersion { got: version });
     }
-    if u64::from_le_bytes(checksum) != fnv(&payload) {
+    if u64::from_le_bytes(checksum) != fnv1a(&payload) {
         return Err(WireError::BadChecksum);
     }
     Ok(Some(payload))
@@ -187,144 +179,6 @@ pub fn is_recoverable(error: &WireError) -> bool {
         error,
         WireError::StaleVersion { .. } | WireError::BadChecksum | WireError::Malformed { .. }
     )
-}
-
-// --- payload primitives ---------------------------------------------------
-
-/// Append-only payload encoder (little-endian, length-prefixed strings and
-/// slices; `f64` as IEEE-754 bit patterns so round trips are bit-identical).
-#[derive(Debug, Default)]
-pub struct Encoder(pub Vec<u8>);
-
-impl Encoder {
-    /// A fresh, empty encoder.
-    pub fn new() -> Self {
-        Encoder(Vec::new())
-    }
-
-    /// Appends one byte.
-    pub fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-
-    /// Appends a bool as one byte.
-    pub fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-
-    /// Appends a `u16`.
-    pub fn u16(&mut self, v: u16) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u32`.
-    pub fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a `u64`.
-    pub fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-
-    /// Appends an `f64` as its bit pattern.
-    pub fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn string(&mut self, v: &str) {
-        self.u64(v.len() as u64);
-        self.0.extend_from_slice(v.as_bytes());
-    }
-
-    /// Appends a length-prefixed `u64` slice.
-    pub fn u64_slice(&mut self, vs: &[u64]) {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.u64(v);
-        }
-    }
-}
-
-/// Cursor-style payload decoder; every accessor returns `None` past the end,
-/// which the message layer turns into [`WireError::Malformed`].
-#[derive(Debug)]
-pub struct Decoder<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Decoder<'a> {
-    /// Starts decoding at the beginning of `bytes`.
-    pub fn new(bytes: &'a [u8]) -> Self {
-        Decoder { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.pos.checked_add(n)?;
-        let slice = self.bytes.get(self.pos..end)?;
-        self.pos = end;
-        Some(slice)
-    }
-
-    /// Reads one byte.
-    pub fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-
-    /// Reads a bool (strictly 0 or 1, anything else is malformed).
-    pub fn bool(&mut self) -> Option<bool> {
-        match self.u8()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-
-    /// Reads a `u16`.
-    pub fn u16(&mut self) -> Option<u16> {
-        Some(u16::from_le_bytes(self.take(2)?.try_into().ok()?))
-    }
-
-    /// Reads a `u32`.
-    pub fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-
-    /// Reads a `u64`.
-    pub fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-
-    /// Reads an `f64` bit pattern.
-    pub fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads a length-prefixed UTF-8 string (length validated against the
-    /// remaining bytes before any allocation).
-    pub fn string(&mut self) -> Option<String> {
-        let n = self.u64()? as usize;
-        if n > self.bytes.len() - self.pos {
-            return None;
-        }
-        String::from_utf8(self.take(n)?.to_vec()).ok()
-    }
-
-    /// Reads a length-prefixed `u64` vector.
-    pub fn u64_vec(&mut self) -> Option<Vec<u64>> {
-        let n = self.u64()? as usize;
-        if n.checked_mul(8)? > self.bytes.len() - self.pos {
-            return None;
-        }
-        (0..n).map(|_| self.u64()).collect()
-    }
-
-    /// Whether every byte has been consumed (messages must decode exactly).
-    pub fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
 }
 
 #[cfg(test)]
@@ -424,43 +278,5 @@ mod tests {
         assert!(!is_recoverable(&WireError::BadMagic));
         assert!(!is_recoverable(&WireError::Oversized { declared: 0 }));
         assert!(!is_recoverable(&WireError::Io { what: "x".into() }));
-    }
-
-    #[test]
-    fn primitives_round_trip_bit_identically() {
-        let mut e = Encoder::new();
-        e.u8(7);
-        e.bool(true);
-        e.u16(65535);
-        e.u32(123456);
-        e.u64(u64::MAX - 1);
-        e.f64(-0.0);
-        e.f64(1.625e-13);
-        e.string("driver/stage #3 — μm");
-        e.u64_slice(&[1, 2, 3]);
-        let bytes = e.0;
-        let mut d = Decoder::new(&bytes);
-        assert_eq!(d.u8(), Some(7));
-        assert_eq!(d.bool(), Some(true));
-        assert_eq!(d.u16(), Some(65535));
-        assert_eq!(d.u32(), Some(123456));
-        assert_eq!(d.u64(), Some(u64::MAX - 1));
-        assert_eq!(d.f64().map(f64::to_bits), Some((-0.0f64).to_bits()));
-        assert_eq!(d.f64(), Some(1.625e-13));
-        assert_eq!(d.string().as_deref(), Some("driver/stage #3 — μm"));
-        assert_eq!(d.u64_vec(), Some(vec![1, 2, 3]));
-        assert!(d.done());
-        // Short buffers: typed None, never a panic or over-read.
-        let mut d = Decoder::new(&bytes[..3]);
-        let _ = d.u8();
-        let _ = d.bool();
-        assert_eq!(d.u16(), None);
-        // A corrupt string length larger than the buffer is caught before
-        // allocation.
-        let mut e = Encoder::new();
-        e.u64(u64::MAX);
-        let bytes = e.0;
-        assert_eq!(Decoder::new(&bytes).string(), None);
-        assert_eq!(Decoder::new(&bytes).u64_vec(), None);
     }
 }

@@ -159,20 +159,6 @@ impl TransientOptions {
         })
     }
 
-    /// Creates options with the given step and stop time and default
-    /// tolerances.
-    ///
-    /// # Panics
-    /// Panics if `time_step <= 0`, `stop_time <= 0`, or
-    /// `stop_time < time_step`.
-    #[deprecated(since = "0.2.0", note = "use `TransientOptions::try_new` instead")]
-    pub fn new(time_step: f64, stop_time: f64) -> Self {
-        match Self::try_new(time_step, stop_time) {
-            Ok(options) => options,
-            Err(e) => panic!("{e}"),
-        }
-    }
-
     /// Sets the integration method (builder style).
     pub fn with_method(mut self, method: IntegrationMethod) -> Self {
         self.method = method;

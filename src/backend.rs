@@ -27,9 +27,9 @@ use crate::load::LoadModel;
 use crate::stage::{InputEvent, Stage};
 
 thread_local! {
-    /// Per-worker-thread simulation workspace: `analyze_many` fans stages
-    /// across threads, and every golden simulation a thread runs (driver
-    /// stages, far-end propagation) reuses one set of kernel buffers.
+    /// Per-worker-thread simulation workspace: a session fans stages across
+    /// threads, and every golden simulation a thread runs (driver stages,
+    /// far-end propagation) reuses one set of kernel buffers.
     static SIM_WORKSPACE: RefCell<TransientWorkspace> = RefCell::new(TransientWorkspace::new());
 }
 

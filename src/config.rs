@@ -42,8 +42,8 @@ pub struct EngineConfig {
     pub strategy: CeffStrategy,
     /// Fidelity of the golden simulation backend.
     pub golden: GoldenOptions,
-    /// Worker threads for [`crate::TimingEngine::analyze_many`]; `0` means
-    /// one per available CPU.
+    /// Worker threads of each [`crate::AnalysisSession`]; `0` means one per
+    /// available CPU.
     pub threads: usize,
     /// Directory of the persistent characterization cache. When set,
     /// libraries opened through [`crate::TimingEngine::open_library`] consult

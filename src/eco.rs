@@ -39,13 +39,15 @@
 //!
 //! ## The store
 //!
-//! Entries use the same defensive idiom as the characterization cache
-//! (`rlc-charlib`): a versioned binary layout (magic, format version, echoed
-//! key, length-prefixed payload, FNV-1a checksum), atomic
+//! [`StageResultCache`] is a typed view over
+//! [`rlc_numeric::codec::BlobStore`], the store the characterization cache
+//! uses too: a versioned entry envelope (magic `RLCECO\0\0`, format
+//! version, echoed key, length-prefixed payload, FNV-1a checksum), atomic
 //! write-to-temp-then-rename stores so concurrent writers never tear an
 //! entry, and *silent fallback-and-heal* on any read damage — a truncated,
 //! corrupted, stale-versioned or foreign entry is treated as a miss, the
-//! stage re-simulates, and the store overwrites the damaged entry.
+//! stage re-simulates, and the store overwrites the damaged entry. Keys and
+//! payloads use the same [`rlc_numeric::codec`] encoding.
 //!
 //! Reports are stored bit-exactly: every scalar round-trips through raw IEEE
 //! bits, and the driver-output waveform is persisted as its exact model
@@ -54,15 +56,14 @@
 //! ([`crate::SampledWaveform`]), so a dependent stage resolved from a cached
 //! producer sees bit-identical handoff waveforms.
 
-use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use rlc_ceff::{SingleRampModel, TwoRampModel};
+use rlc_charlib::CharCache;
 use rlc_lint::{Diagnostic, LintLevel, Severity};
-use rlc_spice::{MosfetParams, MosfetType, Waveform};
+use rlc_numeric::codec::{fnv1a, BlobStore, Decoder, Encoder};
+use rlc_spice::Waveform;
 
 use crate::backend::StageReport;
 use crate::config::{CeffStrategy, EngineConfig, SessionOptions};
@@ -76,115 +77,6 @@ const MAGIC: &[u8; 8] = b"RLCECO\0\0";
 /// Bumped whenever the entry layout or the key recipe changes; entries
 /// written by other versions silently read as misses.
 pub const FORMAT_VERSION: u32 = 1;
-
-/// Distinguishes temp files of concurrent writers within one process.
-static TMP_NONCE: AtomicU64 = AtomicU64::new(0);
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte slice.
-pub(crate) fn fnv(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
-// ---------------------------------------------------------------------------
-// Byte codec (shared by the fingerprints and the entry payload, so keyed
-// fields and stored fields can never diverge).
-// ---------------------------------------------------------------------------
-
-#[derive(Default)]
-pub(crate) struct Enc(Vec<u8>);
-
-impl Enc {
-    pub(crate) fn u8(&mut self, v: u8) {
-        self.0.push(v);
-    }
-    pub(crate) fn bool(&mut self, v: bool) {
-        self.0.push(u8::from(v));
-    }
-    pub(crate) fn u32(&mut self, v: u32) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    pub(crate) fn u64(&mut self, v: u64) {
-        self.0.extend_from_slice(&v.to_le_bytes());
-    }
-    /// Raw IEEE bits: `f64::to_bits` round-trips every value (including
-    /// signed zeros and NaN payloads) exactly.
-    pub(crate) fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    pub(crate) fn str(&mut self, v: &str) {
-        self.u64(v.len() as u64);
-        self.0.extend_from_slice(v.as_bytes());
-    }
-    pub(crate) fn f64s(&mut self, vs: &[f64]) {
-        self.u64(vs.len() as u64);
-        for &v in vs {
-            self.f64(v);
-        }
-    }
-    pub(crate) fn finish(self) -> Vec<u8> {
-        self.0
-    }
-}
-
-struct Dec<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Dec<'a> {
-    fn new(bytes: &'a [u8]) -> Dec<'a> {
-        Dec { bytes, at: 0 }
-    }
-    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
-        let end = self.at.checked_add(n)?;
-        let s = self.bytes.get(self.at..end)?;
-        self.at = end;
-        Some(s)
-    }
-    fn u8(&mut self) -> Option<u8> {
-        Some(self.take(1)?[0])
-    }
-    fn bool(&mut self) -> Option<bool> {
-        match self.u8()? {
-            0 => Some(false),
-            1 => Some(true),
-            _ => None,
-        }
-    }
-    fn u32(&mut self) -> Option<u32> {
-        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
-    }
-    fn u64(&mut self) -> Option<u64> {
-        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
-    }
-    fn f64(&mut self) -> Option<f64> {
-        Some(f64::from_bits(self.u64()?))
-    }
-    fn str(&mut self) -> Option<String> {
-        let len = usize::try_from(self.u64()?).ok()?;
-        String::from_utf8(self.take(len)?.to_vec()).ok()
-    }
-    fn f64s(&mut self) -> Option<Vec<f64>> {
-        let len = usize::try_from(self.u64()?).ok()?;
-        // Defensive cap: a torn length prefix must not drive a huge
-        // allocation before the checksum would have rejected the entry.
-        if len > self.bytes.len() / 8 + 1 {
-            return None;
-        }
-        (0..len).map(|_| self.f64()).collect()
-    }
-    fn done(&self) -> bool {
-        self.at == self.bytes.len()
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Waveform persistence
@@ -230,7 +122,7 @@ pub enum WaveformDescriptor {
 }
 
 impl WaveformDescriptor {
-    fn encode(&self, e: &mut Enc) {
+    fn encode(&self, e: &mut Encoder) {
         match self {
             WaveformDescriptor::SingleRamp {
                 vdd,
@@ -265,7 +157,7 @@ impl WaveformDescriptor {
         }
     }
 
-    fn decode(d: &mut Dec<'_>) -> Option<WaveformDescriptor> {
+    fn decode(d: &mut Decoder) -> Option<WaveformDescriptor> {
         match d.u8()? {
             0 => Some(WaveformDescriptor::SingleRamp {
                 vdd: d.f64()?,
@@ -348,42 +240,12 @@ fn sampled_from_parts(vdd: f64, times: &[f64], values: &[f64]) -> Option<Sampled
 // Fingerprints
 // ---------------------------------------------------------------------------
 
-fn encode_mosfet(e: &mut Enc, p: &MosfetParams) {
-    e.u8(match p.mos_type {
-        MosfetType::Nmos => 0,
-        MosfetType::Pmos => 1,
-    });
-    e.f64(p.vth);
-    e.f64(p.alpha);
-    e.f64(p.k_sat);
-    e.f64(p.k_v);
-    e.f64(p.lambda);
-    e.f64(p.c_gate_per_width);
-    e.f64(p.c_junction_per_width);
-}
-
-/// Fingerprint of a characterized driver cell: the inverter spec, the full
+/// Fingerprint of a characterized driver cell: the FNV-1a hash of its one
+/// byte encoding, [`CharCache::payload`] — the inverter spec, the full
 /// timing table and the extracted on-resistance. Any recharacterization that
 /// changes a single table entry changes the fingerprint.
 pub fn driver_fingerprint(cell: &rlc_charlib::DriverCell) -> u64 {
-    let mut e = Enc::default();
-    let spec = cell.spec();
-    e.f64(spec.nmos_width);
-    e.f64(spec.pmos_width);
-    e.f64(spec.vdd);
-    encode_mosfet(&mut e, &spec.nmos);
-    encode_mosfet(&mut e, &spec.pmos);
-    let table = cell.table();
-    e.f64s(table.slew_axis());
-    e.f64s(table.load_axis());
-    for row in table.delay_rows() {
-        e.f64s(row);
-    }
-    for row in table.transition_rows() {
-        e.f64s(row);
-    }
-    e.f64(cell.on_resistance());
-    fnv(&e.finish())
+    fnv1a(&CharCache::payload(cell))
 }
 
 /// Fingerprint of every engine/session knob that can change a report:
@@ -391,7 +253,7 @@ pub fn driver_fingerprint(cell: &rlc_charlib::DriverCell) -> u64 {
 /// the session's handoff options. Scheduling-only knobs (threads, deadline,
 /// in-flight cap) are deliberately excluded.
 fn config_fingerprint(config: &EngineConfig, options: &SessionOptions) -> u64 {
-    let mut e = Enc::default();
+    let mut e = Encoder::new();
     e.f64(config.iteration.rel_tolerance);
     e.u64(config.iteration.max_iterations as u64);
     e.f64(config.iteration.damping);
@@ -418,7 +280,7 @@ fn config_fingerprint(config: &EngineConfig, options: &SessionOptions) -> u64 {
     e.f64(options.far_end.time_step);
     e.f64(options.far_end.settle_time);
     e.bool(options.sampled_handoff);
-    fnv(&e.finish())
+    fnv1a(&e.finish())
 }
 
 /// The input half of a stage's identity.
@@ -443,7 +305,7 @@ pub enum InputFingerprint<'a> {
 }
 
 fn input_fingerprint(input: &InputFingerprint<'_>) -> u64 {
-    let mut e = Enc::default();
+    let mut e = Encoder::new();
     match input {
         InputFingerprint::Fixed(event) => {
             e.u8(0);
@@ -460,7 +322,7 @@ fn input_fingerprint(input: &InputFingerprint<'_>) -> u64 {
             e.str(sink);
         }
     }
-    fnv(&e.finish())
+    fnv1a(&e.finish())
 }
 
 /// The content-addressed identity of one stage analysis: four component
@@ -507,20 +369,20 @@ pub fn stage_key(
     let driver = driver_fingerprint(stage.driver());
     let input = input_fingerprint(&input);
     let config = {
-        let mut e = Enc::default();
+        let mut e = Encoder::new();
         e.u64(config_fingerprint(config, options));
         e.u8(backend_tag);
-        fnv(&e.finish())
+        fnv1a(&e.finish())
     };
     let key = {
-        let mut e = Enc::default();
+        let mut e = Encoder::new();
         e.u32(FORMAT_VERSION);
         e.u64(driver);
         e.u64(load);
         e.u64(input);
         e.u64(config);
         e.str(stage.label());
-        fnv(&e.finish())
+        fnv1a(&e.finish())
     };
     Some(StageKey {
         driver,
@@ -535,16 +397,12 @@ pub fn stage_key(
 // Entry codec
 // ---------------------------------------------------------------------------
 
-fn intern_backend(name: &str) -> &'static str {
-    match name {
-        "analytic" => "analytic",
-        "rlc-spice" => "rlc-spice",
-        "reduced-order" => "reduced-order",
-        // Unknown names cannot occur for cacheable stages (custom backends
-        // are never cached), but a hand-edited entry must not break the
-        // `&'static str` contract of `StageReport::backend`.
-        other => Box::leak(other.to_string().into_boxed_str()),
-    }
+/// The built-in backend of that name. Custom backends are never cached, so
+/// any other name comes from a damaged or foreign entry.
+fn intern_backend(name: &str) -> Option<&'static str> {
+    ["analytic", "rlc-spice", "reduced-order"]
+        .into_iter()
+        .find(|builtin| *builtin == name)
 }
 
 fn encode_severity(s: Severity) -> u8 {
@@ -564,8 +422,11 @@ fn decode_severity(v: u8) -> Option<Severity> {
     }
 }
 
+/// The fewest bytes one encoded lint takes: three empty strings and a tag.
+const LINT_MIN_BYTES: usize = 25;
+
 fn encode_payload(key: &StageKey, report: &StageReport, desc: &WaveformDescriptor) -> Vec<u8> {
-    let mut e = Enc::default();
+    let mut e = Encoder::new();
     e.u64(key.driver);
     e.u64(key.load);
     e.u64(key.input);
@@ -599,7 +460,7 @@ fn encode_payload(key: &StageKey, report: &StageReport, desc: &WaveformDescripto
 }
 
 fn decode_payload(payload: &[u8], key: &StageKey, label: &str) -> Option<StageReport> {
-    let mut d = Dec::new(payload);
+    let mut d = Decoder::new(payload);
     // Component echo: a 64-bit key collision (or a foreign entry renamed
     // under our key) is caught here, field by field.
     if d.u64()? != key.driver
@@ -612,7 +473,7 @@ fn decode_payload(payload: &[u8], key: &StageKey, label: &str) -> Option<StageRe
     if d.str()? != label {
         return None;
     }
-    let backend = intern_backend(&d.str()?);
+    let backend = intern_backend(&d.str()?)?;
     let delay = d.f64()?;
     let slew = d.f64()?;
     let input_t50 = d.f64()?;
@@ -631,11 +492,8 @@ fn decode_payload(payload: &[u8], key: &StageKey, label: &str) -> Option<StageRe
         _ => return None,
     };
     let count = d.u32()?;
-    // Defensive cap as for sample vectors: each lint takes ≥ 18 bytes.
-    if count as usize > payload.len() / 18 + 1 {
-        return None;
-    }
-    let mut lints = Vec::with_capacity(count as usize);
+    let count = d.fits(count.into(), LINT_MIN_BYTES)?;
+    let mut lints = Vec::with_capacity(count);
     for _ in 0..count {
         let code = d.str()?;
         let severity = decode_severity(d.u8()?)?;
@@ -678,7 +536,7 @@ fn decode_payload(payload: &[u8], key: &StageKey, label: &str) -> Option<StageRe
 /// entries read as misses.
 #[derive(Debug)]
 pub struct StageResultCache {
-    dir: PathBuf,
+    store: BlobStore,
 }
 
 impl StageResultCache {
@@ -688,24 +546,26 @@ impl StageResultCache {
     /// [`EngineError::Cache`] when the directory cannot be created.
     pub fn open(dir: impl Into<PathBuf>) -> Result<StageResultCache, EngineError> {
         let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|e| EngineError::Cache {
-            what: format!(
-                "could not create result-cache directory {}: {e}",
-                dir.display()
-            ),
+        let store = BlobStore::open(&dir, MAGIC, FORMAT_VERSION, "stage").map_err(|e| {
+            EngineError::Cache {
+                what: format!(
+                    "could not create result-cache directory {}: {e}",
+                    dir.display()
+                ),
+            }
         })?;
-        Ok(StageResultCache { dir })
+        Ok(StageResultCache { store })
     }
 
     /// The directory entries live in.
     pub fn dir(&self) -> &Path {
-        &self.dir
+        self.store.dir()
     }
 
     /// The path an entry with combined key `key` ([`StageKey::value`]) lives
     /// at — exposed for tooling and damage-injection tests.
     pub fn entry_path(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("stage-{key:016x}.bin"))
+        self.store.entry_path(key)
     }
 
     /// Loads the report stored under `key`, re-labelled checks included:
@@ -714,8 +574,8 @@ impl StageResultCache {
     /// caller re-simulates and the next [`StageResultCache::store`] heals
     /// the entry.
     pub fn load(&self, key: &StageKey, label: &str) -> Option<StageReport> {
-        let bytes = fs::read(self.entry_path(key.value())).ok()?;
-        decode_entry(&bytes, key, label)
+        self.store
+            .load(key.value(), |payload| decode_payload(payload, key, label))
     }
 
     /// Persists a report under `key` with an atomic temp-file + rename, so
@@ -730,55 +590,12 @@ impl StageResultCache {
         let Some(desc) = report.waveform.cache_descriptor() else {
             return Ok(());
         };
-        let payload = encode_payload(key, report, &desc);
-        let mut bytes = Vec::with_capacity(MAGIC.len() + 24 + payload.len() + 8);
-        bytes.extend_from_slice(MAGIC);
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&key.value().to_le_bytes());
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(&payload);
-        bytes.extend_from_slice(&fnv(&payload).to_le_bytes());
-
-        let nonce = TMP_NONCE.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.dir.join(format!(
-            ".stage-{:016x}.{}.{nonce}.tmp",
-            key.value(),
-            std::process::id()
-        ));
-        let write = (|| -> std::io::Result<()> {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(&bytes)?;
-            file.sync_all()?;
-            fs::rename(&tmp, self.entry_path(key.value()))
-        })();
-        if let Err(e) = write {
-            let _ = fs::remove_file(&tmp);
-            return Err(EngineError::Cache {
+        self.store
+            .store(key.value(), &encode_payload(key, report, &desc))
+            .map_err(|e| EngineError::Cache {
                 what: format!("could not persist stage result {:016x}: {e}", key.value()),
-            });
-        }
-        Ok(())
+            })
     }
-}
-
-fn decode_entry(bytes: &[u8], key: &StageKey, label: &str) -> Option<StageReport> {
-    let mut d = Dec::new(bytes);
-    if d.take(MAGIC.len())? != MAGIC {
-        return None;
-    }
-    if d.u32()? != FORMAT_VERSION {
-        return None;
-    }
-    if d.u64()? != key.value() {
-        return None;
-    }
-    let len = usize::try_from(d.u64()?).ok()?;
-    let payload = d.take(len)?;
-    let checksum = d.u64()?;
-    if !d.done() || fnv(payload) != checksum {
-        return None;
-    }
-    decode_payload(payload, key, label)
 }
 
 #[cfg(test)]
@@ -788,6 +605,7 @@ mod tests {
     use crate::{DistributedRlcLoad, LumpedCapLoad};
     use rlc_interconnect::prelude::*;
     use rlc_numeric::units::{ff, ps};
+    use std::fs;
 
     fn line() -> RlcLine {
         EmpiricalExtractor::cmos018().extract(&WireGeometry::new(mm(2.0), um(1.6)))

@@ -196,8 +196,8 @@ impl TimingEngine {
     /// Opens a dependency-aware [`AnalysisSession`] with default
     /// [`SessionOptions`]: stages submit individually or in bulk, dependent
     /// stages chain through measured far-end waveforms, and results stream
-    /// back in completion order. This supersedes the deprecated flat
-    /// `analyze_many`.
+    /// back in completion order (or, through
+    /// [`AnalysisSession::wait_all`], all at once in submission order).
     pub fn session(&self) -> AnalysisSession {
         self.session_with(SessionOptions::default())
     }
@@ -396,6 +396,53 @@ mod tests {
         let err = engine.analyze(&dependent).unwrap_err();
         assert!(matches!(err, EngineError::InvalidDependency { .. }));
         assert!(err.to_string().contains("chained"));
+    }
+
+    #[test]
+    fn batch_results_come_back_in_input_order() {
+        // Twelve independent stages on four workers may finish in any
+        // order; `wait_all` returns them in submission order.
+        let cell = Arc::new(crate::test_fixtures::synthetic_cell_75x());
+        let stages: Vec<Stage> = (0..12)
+            .map(|i| {
+                Stage::builder_shared(
+                    cell.clone(),
+                    Arc::new(LumpedCapLoad::new(ff(100.0 + 50.0 * i as f64)).unwrap()),
+                )
+                .label(format!("s{i}"))
+                .input_slew(ps(100.0))
+                .build()
+                .unwrap()
+            })
+            .collect();
+        let engine = TimingEngine::new(
+            EngineConfig::builder()
+                .extract_rs_per_case(false)
+                .threads(4)
+                .build(),
+        );
+        let mut session = engine.session();
+        session.submit_all(stages).unwrap();
+        let results = session.wait_all();
+        assert_eq!(results.len(), 12);
+        for (i, (handle, outcome)) in results.iter().enumerate() {
+            assert_eq!(handle.index(), i);
+            assert_eq!(outcome.as_ref().unwrap().label, format!("s{i}"));
+        }
+        // Bigger lumped loads mean slower transitions, in order.
+        let slews: Vec<f64> = results
+            .iter()
+            .map(|(_, r)| r.as_ref().unwrap().slew)
+            .collect();
+        assert!(slews.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn empty_batch_is_fine() {
+        let mut session = fast_engine().session();
+        assert!(session.submit_all(Vec::new()).unwrap().is_empty());
+        assert!(session.is_empty());
+        assert!(session.wait_all().is_empty());
     }
 
     #[test]

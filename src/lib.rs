@@ -35,19 +35,22 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 //!
-//! Batches fan out across threads with per-stage error recovery — one
-//! degenerate stage yields an `Err` in its slot instead of aborting the run:
+//! Batches run through an [`AnalysisSession`], which fans stages out across
+//! threads with per-stage error recovery — one degenerate stage yields an
+//! `Err` in its slot instead of aborting the run:
 //!
 //! ```no_run
 //! # use rlc_ceff_suite::{Stage, TimingEngine};
-//! # fn demo(engine: &TimingEngine, stages: &[Stage]) {
-//! let batch = engine.analyze_many(stages);
-//! for (index, report) in batch.succeeded() {
-//!     println!("stage {index}: {}", report.describe());
+//! # fn demo(engine: &TimingEngine, stages: Vec<Stage>) -> Result<(), rlc_ceff_suite::EngineError> {
+//! let mut session = engine.session();
+//! session.submit_all(stages)?;
+//! for (handle, outcome) in session.wait_all() {
+//!     match outcome {
+//!         Ok(report) => println!("{handle}: {}", report.describe()),
+//!         Err(error) => eprintln!("{handle} failed: {error}"),
+//!     }
 //! }
-//! for (index, error) in batch.failures() {
-//!     eprintln!("stage {index} failed: {error}");
-//! }
+//! # Ok(())
 //! # }
 //! ```
 //!
@@ -78,7 +81,6 @@ pub use rlc_numeric as numeric;
 pub use rlc_spice as spice;
 
 mod backend;
-mod compat;
 mod config;
 mod driver;
 pub mod eco;
@@ -94,8 +96,6 @@ pub use backend::{
     AnalysisBackend, AnalyticBackend, AnalyticDetails, BackendCaps, FarEndReport,
     ReducedOrderBackend, ReductionError, SinkFarEnd, SpiceBackend, StageReport,
 };
-#[allow(deprecated)]
-pub use compat::BatchReport;
 pub use config::{CeffStrategy, EngineConfig, EngineConfigBuilder, SessionOptions};
 pub use driver::{DriverModel, SampledWaveform};
 pub use eco::{
@@ -120,8 +120,6 @@ pub mod prelude {
         AnalysisBackend, AnalyticBackend, AnalyticDetails, BackendCaps, FarEndReport,
         ReducedOrderBackend, ReductionError, SinkFarEnd, SpiceBackend, StageReport,
     };
-    #[allow(deprecated)]
-    pub use crate::compat::BatchReport;
     pub use crate::config::{CeffStrategy, EngineConfig, EngineConfigBuilder, SessionOptions};
     pub use crate::driver::{DriverModel, SampledWaveform};
     pub use crate::eco::{

@@ -27,6 +27,7 @@ use crate::variation::VariationSpec;
 use rlc_ceff::flow::{ReducedLoad, WaveParameters};
 use rlc_interconnect::{CoupledBus, RlcLine, RlcTree};
 use rlc_moments::{tree_admittance_moments, PiModel, RationalAdmittance};
+use rlc_numeric::codec::{fnv1a, Encoder};
 use rlc_spice::circuit::{Circuit, NodeId};
 use rlc_spice::SourceWaveform;
 
@@ -163,7 +164,7 @@ pub trait LoadModel: std::fmt::Debug + Send + Sync {
 
 /// Fingerprints one line's four element values into `e` for
 /// [`LoadModel::cache_fingerprint`].
-fn fingerprint_line(e: &mut crate::eco::Enc, line: &RlcLine) {
+fn fingerprint_line(e: &mut Encoder, line: &RlcLine) {
     e.f64(line.resistance());
     e.f64(line.inductance());
     e.f64(line.capacitance());
@@ -245,10 +246,10 @@ impl LoadModel for LumpedCapLoad {
     }
 
     fn cache_fingerprint(&self) -> Option<u64> {
-        let mut e = crate::eco::Enc::default();
+        let mut e = Encoder::new();
         e.u8(1);
         e.f64(self.c);
-        Some(crate::eco::fnv(&e.finish()))
+        Some(fnv1a(&e.finish()))
     }
 
     fn describe(&self) -> String {
@@ -343,12 +344,12 @@ impl LoadModel for PiModelLoad {
     }
 
     fn cache_fingerprint(&self) -> Option<u64> {
-        let mut e = crate::eco::Enc::default();
+        let mut e = Encoder::new();
         e.u8(2);
         e.f64(self.pi.c_near);
         e.f64(self.pi.resistance);
         e.f64(self.pi.c_far);
-        Some(crate::eco::fnv(&e.finish()))
+        Some(fnv1a(&e.finish()))
     }
 
     fn describe(&self) -> String {
@@ -434,11 +435,11 @@ impl LoadModel for DistributedRlcLoad {
     }
 
     fn cache_fingerprint(&self) -> Option<u64> {
-        let mut e = crate::eco::Enc::default();
+        let mut e = Encoder::new();
         e.u8(3);
         fingerprint_line(&mut e, &self.line);
         e.f64(self.c_load);
-        Some(crate::eco::fnv(&e.finish()))
+        Some(fnv1a(&e.finish()))
     }
 
     fn describe(&self) -> String {
@@ -579,7 +580,7 @@ impl LoadModel for RlcTreeLoad {
     }
 
     fn cache_fingerprint(&self) -> Option<u64> {
-        let mut e = crate::eco::Enc::default();
+        let mut e = Encoder::new();
         e.u8(4);
         e.u64(self.tree.num_branches() as u64);
         for (_, branch) in self.tree.branches() {
@@ -595,7 +596,7 @@ impl LoadModel for RlcTreeLoad {
             e.str(&sink.name);
             e.f64(sink.c_load);
         }
-        Some(crate::eco::fnv(&e.finish()))
+        Some(fnv1a(&e.finish()))
     }
 
     fn describe(&self) -> String {
@@ -777,7 +778,7 @@ impl LoadModel for CoupledBusLoad {
     }
 
     fn cache_fingerprint(&self) -> Option<u64> {
-        let mut e = crate::eco::Enc::default();
+        let mut e = Encoder::new();
         e.u8(5);
         fingerprint_line(&mut e, self.bus.victim());
         fingerprint_line(&mut e, self.bus.aggressor());
@@ -793,7 +794,7 @@ impl LoadModel for CoupledBusLoad {
         e.f64(self.aggressor.slew);
         e.f64(self.aggressor.delay);
         e.f64(self.aggressor.amplitude);
-        Some(crate::eco::fnv(&e.finish()))
+        Some(fnv1a(&e.finish()))
     }
 
     fn describe(&self) -> String {
@@ -880,10 +881,10 @@ impl LoadModel for MomentsLoad {
     }
 
     fn cache_fingerprint(&self) -> Option<u64> {
-        let mut e = crate::eco::Enc::default();
+        let mut e = Encoder::new();
         e.u8(6);
         e.f64s(&self.moments);
-        Some(crate::eco::fnv(&e.finish()))
+        Some(fnv1a(&e.finish()))
     }
 
     fn describe(&self) -> String {

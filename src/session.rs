@@ -1,7 +1,6 @@
 //! [`AnalysisSession`]: dependency-aware, streaming stage analysis.
 //!
-//! The flat batch API (`analyze_many`) treats every stage as independent;
-//! real paths are not. The waveform measured at one stage's far end *is* the
+//! A flat batch treats every stage as independent; real paths are not. The waveform measured at one stage's far end *is* the
 //! input event of the next driver, and a signoff flow wants per-stage
 //! results as they land, not one big synchronized collect. A session models
 //! exactly that:

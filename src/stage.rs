@@ -162,9 +162,8 @@ impl std::fmt::Debug for BackendChoice {
 }
 
 /// One validated timing-analysis stage. Build with [`Stage::builder`]; the
-/// builder — unlike the deprecated panicking `AnalysisCase::new` — returns
-/// `Err` for bad descriptions, so a malformed stage in a batch is a per-stage
-/// report instead of a crash.
+/// builder returns `Err` for bad descriptions, so a malformed stage in a
+/// batch is a per-stage report instead of a crash.
 ///
 /// A stage's input is either a fixed [`InputEvent`]
 /// ([`StageBuilder::input_slew`]) or a *dependent* [`InputSource`] declaring

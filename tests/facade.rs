@@ -10,7 +10,7 @@ use rlc_ceff_suite::moments::PiModel;
 use rlc_ceff_suite::numeric::units::{ff, mm, nh, pf, ps};
 use rlc_ceff_suite::{
     AnalysisBackend, BackendChoice, DistributedRlcLoad, DriverModel, EngineConfig, EngineError,
-    LoadModel, LumpedCapLoad, MomentsLoad, PiModelLoad, Stage, TimingEngine,
+    LoadModel, LumpedCapLoad, MomentsLoad, PiModelLoad, Stage, StageReport, TimingEngine,
 };
 
 mod common;
@@ -23,10 +23,7 @@ fn fast_engine() -> TimingEngine {
 /// The acceptance-criteria batch: ≥ 8 heterogeneous stages mixing all four
 /// load models and both backends, with one deliberately degenerate stage —
 /// every stage gets a report slot and the degenerate one fails alone.
-/// Deliberately exercises the deprecated `analyze_many` shim, which must
-/// keep behaving exactly like the pre-session batch API.
 #[test]
-#[allow(deprecated)]
 fn heterogeneous_batch_recovers_per_stage() {
     let strong = Arc::new(synthetic_cell(75.0, 70.0));
     let weak = Arc::new(synthetic_cell(25.0, 220.0));
@@ -125,23 +122,39 @@ fn heterogeneous_batch_recovers_per_stage() {
         .unwrap(),
     ];
 
-    let batch = fast_engine().analyze_many(&stages);
-    assert_eq!(batch.len(), 9);
-    assert_eq!(batch.err_count(), 1, "only the degenerate stage may fail");
-    assert_eq!(batch.ok_count(), 8);
+    let mut session = fast_engine().session();
+    session.submit_all(stages.iter().cloned()).unwrap();
+    let results = session.wait_all();
+    assert_eq!(results.len(), 9);
+    let succeeded: Vec<(usize, &StageReport)> = results
+        .iter()
+        .filter_map(|(handle, r)| r.as_ref().ok().map(|report| (handle.index(), report)))
+        .collect();
+    let failures: Vec<(usize, &EngineError)> = results
+        .iter()
+        .filter_map(|(handle, r)| r.as_ref().err().map(|e| (handle.index(), e)))
+        .collect();
+    assert_eq!(failures.len(), 1, "only the degenerate stage may fail");
+    assert_eq!(succeeded.len(), 8);
 
     // The failure is the degenerate stage, with a chained load error.
-    let (index, error) = batch.failures().next().unwrap();
+    let (index, error) = failures[0];
     assert_eq!(stages[index].label(), "degenerate");
     assert!(matches!(error, EngineError::Load { .. }));
     assert!(std::error::Error::source(error).is_some());
 
     // Reports come back in input order with the expected shapes.
+    for (i, (handle, _)) in results.iter().enumerate() {
+        assert_eq!(handle.index(), i);
+    }
+    for (i, report) in &succeeded {
+        assert_eq!(report.label, stages[*i].label());
+    }
     let by_label = |label: &str| {
-        batch
-            .succeeded()
+        succeeded
+            .iter()
             .find(|(i, _)| stages[*i].label() == label)
-            .map(|(_, r)| r)
+            .map(|(_, r)| *r)
             .unwrap_or_else(|| panic!("no report for {label}"))
     };
     assert!(by_label("flagship").used_two_ramp);
@@ -150,7 +163,7 @@ fn heterogeneous_batch_recovers_per_stage() {
     assert!(!by_label("pi").used_two_ramp);
     assert_eq!(by_label("sim-lumped").backend, "rlc-spice");
     assert!(by_label("sim-line").simulated_far_end.is_some());
-    for (_, report) in batch.succeeded() {
+    for (_, report) in &succeeded {
         assert!(report.delay > 0.0, "{}", report.describe());
         assert!(report.slew > 0.0, "{}", report.describe());
     }
@@ -165,7 +178,6 @@ fn heterogeneous_batch_recovers_per_stage() {
 /// the golden simulation (the same bands the pre-facade end-to-end test
 /// used).
 #[test]
-#[allow(deprecated)] // pins the analyze_many shim's behaviour
 fn analytic_and_spice_backends_agree_on_the_flagship_stage() {
     let cell = Arc::new(
         DriverCell::characterize(75.0, &CharacterizationGrid::coarse_for_tests())
@@ -186,10 +198,14 @@ fn analytic_and_spice_backends_agree_on_the_flagship_stage() {
         .unwrap();
 
     let engine = fast_engine();
-    let batch = engine.analyze_many(&[analytic_stage, spice_stage]);
-    assert!(batch.all_ok(), "{}", batch.summary());
-    let analytic = batch.outcomes[0].as_ref().unwrap();
-    let golden = batch.outcomes[1].as_ref().unwrap();
+    let mut session = engine.session();
+    session.submit_all([analytic_stage, spice_stage]).unwrap();
+    let results = session.wait_all();
+    for (handle, outcome) in &results {
+        assert!(outcome.is_ok(), "{handle}: {outcome:?}");
+    }
+    let analytic = results[0].1.as_ref().unwrap();
+    let golden = results[1].1.as_ref().unwrap();
 
     assert!(
         analytic.used_two_ramp,
@@ -279,7 +295,6 @@ fn extension_traits_are_object_safe() {
 /// The builder path returns errors (not panics) for malformed stages, and
 /// the resulting error messages say what was wrong.
 #[test]
-#[allow(deprecated)] // pins the analyze_many shim's behaviour
 fn malformed_stages_error_instead_of_panicking() {
     let cell = synthetic_cell(75.0, 70.0);
     let err = Stage::builder(cell.clone(), LumpedCapLoad::new(ff(100.0)).unwrap())
@@ -304,10 +319,9 @@ fn malformed_stages_error_instead_of_panicking() {
         .backend(BackendChoice::Spice)
         .build()
         .unwrap();
-    let batch = fast_engine().analyze_many(&[stage]);
-    assert_eq!(batch.err_count(), 1);
-    assert!(matches!(
-        batch.failures().next().unwrap().1,
-        EngineError::Unsupported { .. }
-    ));
+    let mut session = fast_engine().session();
+    session.submit(stage).unwrap();
+    let results = session.wait_all();
+    assert_eq!(results.iter().filter(|(_, r)| r.is_err()).count(), 1);
+    assert!(matches!(results[0].1, Err(EngineError::Unsupported { .. })));
 }
