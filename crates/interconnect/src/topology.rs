@@ -17,7 +17,7 @@
 //! per-load ladder construction.
 
 use rlc_spice::circuit::{Circuit, NodeId};
-use rlc_spice::testbench::add_rlc_ladder;
+use rlc_spice::testbench::{add_rlc_ladder, NameBuffer};
 
 use crate::line::RlcLine;
 
@@ -425,15 +425,18 @@ impl CoupledBus {
         let n = segments as f64;
         let ccs = self.coupling_capacitance / n;
         let ms = self.mutual_inductance / n;
+        ckt.reserve(4 * segments, 8 * segments + 5);
+        let mut names = NameBuffer::new(name_prefix);
 
-        let add_coupling = |ckt: &mut Circuit, k: usize, a: NodeId, b: NodeId, farads: f64| {
-            if farads > 0.0 {
-                ckt.add_capacitor(&format!("{name_prefix}_Cc{k}"), a, b, farads);
-            }
-        };
+        let add_coupling =
+            |ckt: &mut Circuit, names: &mut NameBuffer, k: usize, a: NodeId, b: NodeId, farads| {
+                if farads > 0.0 {
+                    ckt.add_capacitor(names.name(format_args!("_Cc{k}")).to_owned(), a, b, farads);
+                }
+            };
 
         // Near-end half coupling cap between the two driving points.
-        add_coupling(ckt, 0, victim_near, aggressor_near, 0.5 * ccs);
+        add_coupling(ckt, &mut names, 0, victim_near, aggressor_near, 0.5 * ccs);
 
         let mut prev = [victim_near, aggressor_near];
         let wires = [
@@ -443,7 +446,7 @@ impl CoupledBus {
         // Near-end half shunt caps of both wires.
         for (w, (tag, line, _)) in wires.iter().enumerate() {
             ckt.add_capacitor(
-                &format!("{name_prefix}_{tag}C0"),
+                names.name(format_args!("_{tag}C0")).to_owned(),
                 prev[w],
                 Circuit::GROUND,
                 0.5 * line.capacitance() / n,
@@ -455,14 +458,24 @@ impl CoupledBus {
                 let rs = line.resistance() / n;
                 let ls = line.inductance() / n;
                 let cs = line.capacitance() / n;
-                let mid = ckt.node(&format!("{name_prefix}_{tag}m{k}"));
-                let far = ckt.node(&format!("{name_prefix}_{tag}n{k}"));
-                ckt.add_resistor(&format!("{name_prefix}_{tag}R{k}"), prev[w], mid, rs);
-                ckt.add_inductor(&format!("{name_prefix}_{tag}L{k}"), mid, far, ls);
+                let mid = ckt.node(names.name(format_args!("_{tag}m{k}")));
+                let far = ckt.node(names.name(format_args!("_{tag}n{k}")));
+                ckt.add_resistor(
+                    names.name(format_args!("_{tag}R{k}")).to_owned(),
+                    prev[w],
+                    mid,
+                    rs,
+                );
+                ckt.add_inductor(
+                    names.name(format_args!("_{tag}L{k}")).to_owned(),
+                    mid,
+                    far,
+                    ls,
+                );
                 // Interior nodes carry a full section cap, the far end a half.
                 let shunt = if k + 1 == segments { 0.5 * cs } else { cs };
                 ckt.add_capacitor(
-                    &format!("{name_prefix}_{tag}C{}", k + 1),
+                    names.name(format_args!("_{tag}C{}", k + 1)).to_owned(),
                     far,
                     Circuit::GROUND,
                     shunt,
@@ -473,21 +486,21 @@ impl CoupledBus {
             }
             if ms != 0.0 {
                 ckt.add_mutual_inductance(
-                    &format!("{name_prefix}_K{k}"),
-                    &format!("{name_prefix}_vL{k}"),
-                    &format!("{name_prefix}_aL{k}"),
+                    names.name(format_args!("_K{k}")).to_owned(),
+                    names.name(format_args!("_vL{k}")).to_owned(),
+                    names.name(format_args!("_aL{k}")).to_owned(),
                     ms,
                 );
             }
             // Coupling cap between the section's far nodes: full for interior
             // pairs, half at the bus far end.
             let cc = if k + 1 == segments { 0.5 * ccs } else { ccs };
-            add_coupling(ckt, k + 1, next[0], next[1], cc);
+            add_coupling(ckt, &mut names, k + 1, next[0], next[1], cc);
             prev = next;
         }
         if self.victim_load > 0.0 {
             ckt.add_capacitor(
-                &format!("{name_prefix}_vCL"),
+                names.name(format_args!("_vCL")).to_owned(),
                 prev[0],
                 Circuit::GROUND,
                 self.victim_load,
@@ -495,7 +508,7 @@ impl CoupledBus {
         }
         if self.aggressor_load > 0.0 {
             ckt.add_capacitor(
-                &format!("{name_prefix}_aCL"),
+                names.name(format_args!("_aCL")).to_owned(),
                 prev[1],
                 Circuit::GROUND,
                 self.aggressor_load,

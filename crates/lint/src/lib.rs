@@ -33,6 +33,18 @@
 //! layers (the facade's `AnalysisSession`, the service front-end) what to
 //! do with the findings.
 //!
+//! The audit gates every stage a session submits, serially on the
+//! submitting thread, so it is built to cost little and to scale linearly
+//! with the netlist. The graph checks are one union-find pass over the
+//! elements; the structural rank is a matching over a CSR pattern whose
+//! searches clear nothing between rows; the inductor-name lookups behind
+//! L005 and L021 exist only when the circuit has a mutual inductance; and
+//! names and messages are formatted only for findings that fire (L022
+//! tracks its extremes as element indices). The netlists it audits come
+//! from the same builders the simulation backends use, which store each
+//! node name once, move owned element names into the circuit and size
+//! its tables up front ([`Circuit::reserve`]).
+//!
 //! ```
 //! use rlc_lint::{lint_circuit, LintOptions};
 //! use rlc_spice::Circuit;
@@ -47,6 +59,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
 
 use rlc_interconnect::NetTopology;
@@ -257,7 +270,8 @@ impl LintOptions {
 /// locus. An empty result is a clean bill of health.
 pub fn lint_circuit(circuit: &Circuit, options: &LintOptions) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    graph_checks(circuit, &mut out);
+    let inductances = inductances_if_coupled(circuit);
+    graph_checks(circuit, inductances.as_ref(), &mut out);
     let mutuals_ok = !out.iter().any(|d| d.code == codes::MUTUAL_MISSING_INDUCTOR);
     if mutuals_ok {
         // `MnaSystem::compile` resolves mutual references by name and
@@ -265,8 +279,65 @@ pub fn lint_circuit(circuit: &Circuit, options: &LintOptions) -> Vec<Diagnostic>
         // runs once L005 is clean.
         structural_checks(circuit, &mut out);
     }
-    numeric_checks(circuit, options, &mut out);
+    numeric_checks(circuit, inductances.as_ref(), options, &mut out);
     out
+}
+
+/// Inductance by inductor name (a repeated name keeps its last value), for
+/// the mutual-inductance checks L005 and L021. Built only when the circuit
+/// has a mutual inductance, since nothing else looks inductors up by name.
+fn inductances_if_coupled(circuit: &Circuit) -> Option<HashMap<&str, f64>> {
+    let elements = circuit.elements();
+    let coupled = elements
+        .iter()
+        .any(|e| matches!(e, Element::MutualInductance { .. }));
+    coupled.then(|| {
+        elements
+            .iter()
+            .filter_map(|e| match e {
+                Element::Inductor { name, henries, .. } => Some((name.as_str(), *henries)),
+                _ => None,
+            })
+            .collect()
+    })
+}
+
+/// Disjoint sets of node indices (union by size, path halving): the graph
+/// checks' connectivity in one pass over the elements.
+struct UnionFind {
+    parent: Vec<usize>,
+    size: Vec<usize>,
+}
+
+impl UnionFind {
+    fn new(n: usize) -> Self {
+        UnionFind {
+            parent: (0..n).collect(),
+            size: vec![1; n],
+        }
+    }
+
+    fn find(&mut self, mut x: usize) -> usize {
+        while self.parent[x] != x {
+            self.parent[x] = self.parent[self.parent[x]];
+            x = self.parent[x];
+        }
+        x
+    }
+
+    fn union(&mut self, a: usize, b: usize) {
+        let (a, b) = (self.find(a), self.find(b));
+        if a == b {
+            return;
+        }
+        let (big, small) = if self.size[a] >= self.size[b] {
+            (a, b)
+        } else {
+            (b, a)
+        };
+        self.parent[small] = big;
+        self.size[big] += self.size[small];
+    }
 }
 
 /// Lints a net topology by synthesizing it into a circuit (the same
@@ -311,22 +382,24 @@ pub fn lint_topology(topology: &NetTopology, time_step: Option<f64>) -> Vec<Diag
 }
 
 /// Graph checks: L001–L005.
-fn graph_checks(circuit: &Circuit, out: &mut Vec<Diagnostic>) {
+fn graph_checks(
+    circuit: &Circuit,
+    inductances: Option<&HashMap<&str, f64>>,
+    out: &mut Vec<Diagnostic>,
+) {
     let n = circuit.num_nodes();
-    // Per-node incident element count and adjacency (over every element
-    // kind: for connectivity purposes a capacitor conducts — the companion
-    // model does — and a MOSFET joins all three terminals).
+    // One pass over the elements: per-node incident terminal count, and
+    // connectivity over every element kind (a capacitor conducts — the
+    // companion model does — and a MOSFET joins all three terminals).
     let mut degree = vec![0usize; n];
-    let mut adjacency: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut components = UnionFind::new(n);
     for e in circuit.elements() {
-        let nodes = e.nodes();
-        for &a in &nodes {
-            degree[a.index()] += 1;
-        }
-        for (i, &a) in nodes.iter().enumerate() {
-            for &b in &nodes[i + 1..] {
-                adjacency[a.index()].push(b.index());
-                adjacency[b.index()].push(a.index());
+        let mut terminals = e.nodes();
+        if let Some(first) = terminals.next() {
+            degree[first.index()] += 1;
+            for other in terminals {
+                degree[other.index()] += 1;
+                components.union(first.index(), other.index());
             }
         }
     }
@@ -344,19 +417,9 @@ fn graph_checks(circuit: &Circuit, out: &mut Vec<Diagnostic>) {
 
     // L002: components (of nodes that *do* carry elements) disconnected
     // from ground.
-    let mut reached = vec![false; n];
-    let mut stack = vec![0usize];
-    reached[0] = true;
-    while let Some(k) = stack.pop() {
-        for &other in &adjacency[k] {
-            if !reached[other] {
-                reached[other] = true;
-                stack.push(other);
-            }
-        }
-    }
-    for k in 1..n {
-        if degree[k] > 0 && !reached[k] {
+    let ground = components.find(0);
+    for (k, &deg) in degree.iter().enumerate().skip(1) {
+        if deg > 0 && components.find(k) != ground {
             out.push(Diagnostic::error(
                 codes::GROUND_UNREACHABLE,
                 circuit.node_name(NodeId::from_index(k)),
@@ -384,20 +447,26 @@ fn graph_checks(circuit: &Circuit, out: &mut Vec<Diagnostic>) {
         }
     }
 
-    // L004: parallel voltage sources across one (unordered) node pair.
-    let mut shorts: HashMap<(usize, usize), Vec<&str>> = HashMap::new();
-    for e in circuit.elements() {
-        if let Element::VoltageSource { name, pos, neg, .. } = e {
-            let key = (pos.index().min(neg.index()), pos.index().max(neg.index()));
-            shorts.entry(key).or_default().push(name);
-        }
-    }
-    let mut dup: Vec<_> = shorts
-        .into_iter()
-        .filter(|(_, names)| names.len() > 1)
+    // L004: parallel voltage sources across one (unordered) node pair,
+    // pairs in ascending order, names in element order (the sort is stable).
+    let mut sources: Vec<((usize, usize), &str)> = circuit
+        .elements()
+        .iter()
+        .filter_map(|e| match e {
+            Element::VoltageSource { name, pos, neg, .. } => {
+                let (p, q) = (pos.index(), neg.index());
+                Some(((p.min(q), p.max(q)), name.as_str()))
+            }
+            _ => None,
+        })
         .collect();
-    dup.sort_unstable_by_key(|(key, _)| *key);
-    for ((a, b), names) in dup {
+    sources.sort_by_key(|(pair, _)| *pair);
+    for group in sources.chunk_by(|x, y| x.0 == y.0) {
+        if group.len() < 2 {
+            continue;
+        }
+        let (a, b) = group[0].0;
+        let names: Vec<&str> = group.iter().map(|(_, name)| *name).collect();
         out.push(Diagnostic::error(
             codes::DUPLICATE_SHORT,
             names.join(", "),
@@ -412,14 +481,9 @@ fn graph_checks(circuit: &Circuit, out: &mut Vec<Diagnostic>) {
     }
 
     // L005: mutual inductances referencing missing (or self) inductors.
-    let inductor_names: HashSet<&str> = circuit
-        .elements()
-        .iter()
-        .filter_map(|e| match e {
-            Element::Inductor { name, .. } => Some(name.as_str()),
-            _ => None,
-        })
-        .collect();
+    let Some(inductances) = inductances else {
+        return;
+    };
     for e in circuit.elements() {
         if let Element::MutualInductance {
             name,
@@ -429,7 +493,7 @@ fn graph_checks(circuit: &Circuit, out: &mut Vec<Diagnostic>) {
         } = e
         {
             for wanted in [inductor_a, inductor_b] {
-                if !inductor_names.contains(wanted.as_str()) {
+                if !inductances.contains_key(wanted.as_str()) {
                     out.push(Diagnostic::error(
                         codes::MUTUAL_MISSING_INDUCTOR,
                         name.clone(),
@@ -456,20 +520,25 @@ fn structural_checks(circuit: &Circuit, out: &mut Vec<Diagnostic>) {
     // cannot see it. Catch it directly.
     let mut degenerate_branches: HashSet<&str> = HashSet::new();
     for e in circuit.elements() {
-        if e.needs_branch_current() {
-            if let [a, b] = e.nodes()[..] {
-                if a == b {
-                    degenerate_branches.insert(e.name());
-                    out.push(Diagnostic::error(
-                        codes::STRUCTURALLY_SINGULAR,
-                        e.name(),
-                        format!(
-                            "both terminals on `{}`: the branch constraint row is identically \
-                             zero, so the DC system is singular",
-                            circuit.node_name(a)
-                        ),
-                    ));
-                }
+        if let Element::Inductor { name, a, b, .. }
+        | Element::VoltageSource {
+            name,
+            pos: a,
+            neg: b,
+            ..
+        } = e
+        {
+            if a == b {
+                degenerate_branches.insert(name);
+                out.push(Diagnostic::error(
+                    codes::STRUCTURALLY_SINGULAR,
+                    name.clone(),
+                    format!(
+                        "both terminals on `{}`: the branch constraint row is identically \
+                         zero, so the DC system is singular",
+                        circuit.node_name(*a)
+                    ),
+                ));
             }
         }
     }
@@ -502,18 +571,16 @@ fn structural_checks(circuit: &Circuit, out: &mut Vec<Diagnostic>) {
 }
 
 /// Numeric sanity checks: L020–L024.
-fn numeric_checks(circuit: &Circuit, options: &LintOptions, out: &mut Vec<Diagnostic>) {
-    let mut inductances: HashMap<&str, f64> = HashMap::new();
-    for e in circuit.elements() {
-        if let Element::Inductor { name, henries, .. } = e {
-            inductances.insert(name, *henries);
-        }
-    }
-
+fn numeric_checks(
+    circuit: &Circuit,
+    inductances: Option<&HashMap<&str, f64>>,
+    options: &LintOptions,
+    out: &mut Vec<Diagnostic>,
+) {
     // Conductance scales present in the companion stamp, for L022.
-    let mut scales: Vec<(f64, String)> = Vec::new();
+    let mut spread = Spread::default();
 
-    for e in circuit.elements() {
+    for (index, e) in circuit.elements().iter().enumerate() {
         match e {
             Element::Resistor { name, ohms, .. } => {
                 if !(ohms.is_finite() && *ohms > 0.0) {
@@ -522,7 +589,7 @@ fn numeric_checks(circuit: &Circuit, options: &LintOptions, out: &mut Vec<Diagno
                     if *ohms < MIN_RESISTANCE {
                         out.push(degenerate(name, "resistance", *ohms, MIN_RESISTANCE, "Ω"));
                     }
-                    scales.push((1.0 / ohms, format!("1/R of `{name}`")));
+                    spread.push(1.0 / ohms, Some(index));
                 }
             }
             Element::Capacitor { name, farads, .. } => {
@@ -539,7 +606,7 @@ fn numeric_checks(circuit: &Circuit, options: &LintOptions, out: &mut Vec<Diagno
                         ));
                     }
                     if let Some(h) = options.time_step {
-                        scales.push((farads / h, format!("C/h of `{name}`")));
+                        spread.push(farads / h, Some(index));
                     }
                 }
             }
@@ -557,7 +624,7 @@ fn numeric_checks(circuit: &Circuit, options: &LintOptions, out: &mut Vec<Diagno
                         ));
                     }
                     if let Some(h) = options.time_step {
-                        scales.push((henries / h, format!("L/h of `{name}`")));
+                        spread.push(henries / h, Some(index));
                     }
                 }
             }
@@ -567,6 +634,9 @@ fn numeric_checks(circuit: &Circuit, options: &LintOptions, out: &mut Vec<Diagno
                 inductor_b,
                 henries,
             } => {
+                let Some(inductances) = inductances else {
+                    continue;
+                };
                 let (la, lb) = (
                     inductances.get(inductor_a.as_str()).copied(),
                     inductances.get(inductor_b.as_str()).copied(),
@@ -595,19 +665,12 @@ fn numeric_checks(circuit: &Circuit, options: &LintOptions, out: &mut Vec<Diagno
 
     // L022: companion conductance spread at the configured step. Branch
     // voltage rows contribute unit entries, so anchor the spread at 1.
-    if options.time_step.is_some() && scales.len() > 1 {
-        scales.push((1.0, "branch constraint unit entries".to_string()));
-        let (min_g, min_who) = scales
-            .iter()
-            .min_by(|a, b| a.0.total_cmp(&b.0))
-            .map(|(g, w)| (*g, w.clone()))
-            .expect("non-empty");
-        let (max_g, max_who) = scales
-            .iter()
-            .max_by(|a, b| a.0.total_cmp(&b.0))
-            .map(|(g, w)| (*g, w.clone()))
-            .expect("non-empty");
+    if options.time_step.is_some() && spread.count > 1 {
+        spread.push(1.0, None);
+        let (min_g, min_at) = spread.min;
+        let (max_g, max_at) = spread.max;
         if max_g / min_g > CONDITIONING_SPREAD_LIMIT {
+            let (max_who, min_who) = (scale_source(circuit, max_at), scale_source(circuit, min_at));
             out.push(Diagnostic::warning(
                 codes::CONDITIONING_SPREAD,
                 "",
@@ -638,6 +701,40 @@ fn numeric_checks(circuit: &Circuit, options: &LintOptions, out: &mut Vec<Diagno
                 }
             }
         }
+    }
+}
+
+/// The extremes of the companion conductance scales (L022), each with its
+/// source: an element index, or `None` for the unit branch entries. Ties
+/// keep the first minimum and the last maximum (the rules of
+/// `Iterator::min_by` and `max_by`); on a uniform ladder, where every
+/// segment ties, that rule decides which elements the finding names.
+#[derive(Default)]
+struct Spread {
+    count: usize,
+    min: (f64, Option<usize>),
+    max: (f64, Option<usize>),
+}
+
+impl Spread {
+    fn push(&mut self, g: f64, at: Option<usize>) {
+        if self.count == 0 || g.total_cmp(&self.min.0) == Ordering::Less {
+            self.min = (g, at);
+        }
+        if self.count == 0 || g.total_cmp(&self.max.0) != Ordering::Less {
+            self.max = (g, at);
+        }
+        self.count += 1;
+    }
+}
+
+/// Names an L022 scale source the way the finding reports it.
+fn scale_source(circuit: &Circuit, at: Option<usize>) -> String {
+    match at.map(|index| &circuit.elements()[index]) {
+        Some(Element::Resistor { name, .. }) => format!("1/R of `{name}`"),
+        Some(Element::Capacitor { name, .. }) => format!("C/h of `{name}`"),
+        Some(Element::Inductor { name, .. }) => format!("L/h of `{name}`"),
+        _ => "branch constraint unit entries".to_string(),
     }
 }
 

@@ -12,6 +12,10 @@
 //! The implementation is Kuhn's augmenting-path algorithm (Hopcroft–Karp
 //! without the layering): `O(V · E)` worst case, which is ample for MNA
 //! patterns whose nonzero count is a small multiple of the unknown count.
+//! The pattern is held as a CSR adjacency (columns of each row, ascending)
+//! and each row's search stamps the columns it visits with that row's
+//! generation, so starting a search clears nothing and a pattern whose
+//! augmenting paths stay short is matched in near-linear time.
 
 /// Result of a structural-rank analysis of an `n × n` sparsity pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,52 +41,25 @@ impl StructuralRank {
 /// nonzero positions. Duplicate entries are tolerated; entries out of range
 /// are ignored.
 pub fn structural_rank(n: usize, pattern: &[(usize, usize)]) -> StructuralRank {
-    // Adjacency: columns reachable from each row.
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for &(r, c) in pattern {
-        if r < n && c < n {
-            adj[r].push(c);
-        }
-    }
-    for cols in &mut adj {
-        cols.sort_unstable();
-        cols.dedup();
-    }
+    let adjacency = RowAdjacency::new(n, pattern);
 
     // match_col[c] = row currently matched to column c.
     let mut match_col: Vec<Option<usize>> = vec![None; n];
     let mut match_row: Vec<Option<usize>> = vec![None; n];
-    let mut visited = vec![false; n];
-
-    fn try_augment(
-        row: usize,
-        adj: &[Vec<usize>],
-        match_col: &mut [Option<usize>],
-        match_row: &mut [Option<usize>],
-        visited: &mut [bool],
-    ) -> bool {
-        for &c in &adj[row] {
-            if visited[c] {
-                continue;
-            }
-            visited[c] = true;
-            let free = match match_col[c] {
-                None => true,
-                Some(other) => try_augment(other, adj, match_col, match_row, visited),
-            };
-            if free {
-                match_col[c] = Some(row);
-                match_row[row] = Some(c);
-                return true;
-            }
-        }
-        false
-    }
+    // visited[c] == row + 1: column c was reached by row `row`'s search.
+    let mut visited = vec![0usize; n];
+    let mut path = Vec::new();
 
     let mut rank = 0;
     for row in 0..n {
-        visited.iter_mut().for_each(|v| *v = false);
-        if try_augment(row, &adj, &mut match_col, &mut match_row, &mut visited) {
+        if augment(
+            row,
+            &adjacency,
+            &mut match_col,
+            &mut match_row,
+            &mut visited,
+            &mut path,
+        ) {
             rank += 1;
         }
     }
@@ -93,6 +70,95 @@ pub fn structural_rank(n: usize, pattern: &[(usize, usize)]) -> StructuralRank {
         dim: n,
         unmatched_rows,
     }
+}
+
+/// The columns of each row, ascending and deduplicated, in CSR form.
+struct RowAdjacency {
+    /// Row `r`'s columns are `cols[starts[r]..starts[r + 1]]`.
+    starts: Vec<usize>,
+    cols: Vec<usize>,
+}
+
+impl RowAdjacency {
+    /// Builds the adjacency of an `n × n` pattern, ignoring entries out of
+    /// range.
+    fn new(n: usize, pattern: &[(usize, usize)]) -> Self {
+        let in_range = |&&(r, c): &&(usize, usize)| r < n && c < n;
+        let mut starts = vec![0usize; n + 1];
+        for &(r, _) in pattern.iter().filter(in_range) {
+            starts[r + 1] += 1;
+        }
+        for r in 0..n {
+            starts[r + 1] += starts[r];
+        }
+        let mut fill = starts.clone();
+        let mut cols = vec![0usize; starts[n]];
+        for &(r, c) in pattern.iter().filter(in_range) {
+            cols[fill[r]] = c;
+            fill[r] += 1;
+        }
+        // Sort and deduplicate each row in place, compacting as we go.
+        let mut kept = 0;
+        for r in 0..n {
+            let (lo, hi) = (starts[r], starts[r + 1]);
+            cols[lo..hi].sort_unstable();
+            starts[r] = kept;
+            for k in lo..hi {
+                if k == lo || cols[k] != cols[k - 1] {
+                    cols[kept] = cols[k];
+                    kept += 1;
+                }
+            }
+        }
+        starts[n] = kept;
+        cols.truncate(kept);
+        RowAdjacency { starts, cols }
+    }
+
+    fn row(&self, r: usize) -> &[usize] {
+        &self.cols[self.starts[r]..self.starts[r + 1]]
+    }
+}
+
+/// Searches for an augmenting path from the unmatched row `root`, depth
+/// first with columns tried in ascending order, and flips the matching along
+/// it if one exists. `path` holds the search stack: each entry is a row and
+/// the position in its adjacency of the next column to try, so a found path
+/// is read off the stack (every row's column is the one before its cursor).
+fn augment(
+    root: usize,
+    adjacency: &RowAdjacency,
+    match_col: &mut [Option<usize>],
+    match_row: &mut [Option<usize>],
+    visited: &mut [usize],
+    path: &mut Vec<(usize, usize)>,
+) -> bool {
+    let stamp = root + 1;
+    path.clear();
+    path.push((root, 0));
+    while let Some((row, cursor)) = path.last_mut() {
+        let Some(&c) = adjacency.row(*row).get(*cursor) else {
+            path.pop();
+            continue;
+        };
+        *cursor += 1;
+        if visited[c] == stamp {
+            continue;
+        }
+        visited[c] = stamp;
+        match match_col[c] {
+            Some(other) => path.push((other, 0)),
+            None => {
+                for &(r, next) in path.iter() {
+                    let col = adjacency.row(r)[next - 1];
+                    match_col[col] = Some(r);
+                    match_row[r] = Some(col);
+                }
+                return true;
+            }
+        }
+    }
+    false
 }
 
 #[cfg(test)]

@@ -1,6 +1,7 @@
 //! Circuit container and construction API.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::elements::Element;
 use crate::mosfet::MosfetParams;
@@ -33,6 +34,12 @@ impl NodeId {
 
 /// A circuit: a set of named nodes plus a list of elements.
 ///
+/// Each node name is stored once, shared by the ordered name list and the
+/// name lookup. The element adders take owned names (`impl Into<String>`),
+/// so a builder that formats a name can move it into its element without a
+/// copy, and [`Circuit::reserve`] sizes the tables up front when the
+/// netlist's size is known.
+///
 /// ```
 /// use rlc_spice::prelude::*;
 ///
@@ -45,8 +52,8 @@ impl NodeId {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Circuit {
-    node_names: Vec<String>,
-    name_to_node: HashMap<String, NodeId>,
+    node_names: Vec<Arc<str>>,
+    name_to_node: HashMap<Arc<str>, NodeId>,
     elements: Vec<Element>,
     initial_conditions: HashMap<NodeId, f64>,
 }
@@ -57,14 +64,23 @@ impl Circuit {
 
     /// Creates an empty circuit containing only the ground node.
     pub fn new() -> Self {
-        let mut c = Circuit {
-            node_names: vec!["0".to_string()],
-            name_to_node: HashMap::new(),
+        let ground: Arc<str> = Arc::from("0");
+        Circuit {
+            node_names: vec![ground.clone()],
+            name_to_node: HashMap::from([(ground, Self::GROUND)]),
             elements: Vec::new(),
             initial_conditions: HashMap::new(),
-        };
-        c.name_to_node.insert("0".to_string(), Self::GROUND);
-        c
+        }
+    }
+
+    /// Reserves room for `nodes` more nodes (and as many initial
+    /// conditions) and `elements` more elements, so building a netlist of
+    /// known size does not regrow its tables.
+    pub fn reserve(&mut self, nodes: usize, elements: usize) {
+        self.node_names.reserve(nodes);
+        self.name_to_node.reserve(nodes);
+        self.initial_conditions.reserve(nodes);
+        self.elements.reserve(elements);
     }
 
     /// Returns the node with the given name, creating it if necessary.
@@ -77,8 +93,9 @@ impl Circuit {
             return id;
         }
         let id = NodeId(self.node_names.len());
-        self.node_names.push(name.to_string());
-        self.name_to_node.insert(name.to_string(), id);
+        let name: Arc<str> = Arc::from(name);
+        self.node_names.push(name.clone());
+        self.name_to_node.insert(name, id);
         id
     }
 
@@ -119,6 +136,12 @@ impl Circuit {
         crate::mna::MnaSystem::compile(self).stamp_nnz()
     }
 
+    /// The name-to-node lookup, shared with run results so they resolve
+    /// names without copying them.
+    pub(crate) fn name_map(&self) -> &HashMap<Arc<str>, NodeId> {
+        &self.name_to_node
+    }
+
     /// All elements in insertion order.
     pub fn elements(&self) -> &[Element] {
         &self.elements
@@ -156,44 +179,38 @@ impl Circuit {
     ///
     /// # Panics
     /// Panics if `ohms <= 0`.
-    pub fn add_resistor(&mut self, name: &str, a: NodeId, b: NodeId, ohms: f64) {
+    pub fn add_resistor(&mut self, name: impl Into<String>, a: NodeId, b: NodeId, ohms: f64) {
+        let name = name.into();
         assert!(ohms > 0.0, "resistor {name} must have positive resistance");
-        self.elements.push(Element::Resistor {
-            name: name.to_string(),
-            a,
-            b,
-            ohms,
-        });
+        self.elements.push(Element::Resistor { name, a, b, ohms });
     }
 
     /// Adds a capacitor.
     ///
     /// # Panics
     /// Panics if `farads <= 0`.
-    pub fn add_capacitor(&mut self, name: &str, a: NodeId, b: NodeId, farads: f64) {
+    pub fn add_capacitor(&mut self, name: impl Into<String>, a: NodeId, b: NodeId, farads: f64) {
+        let name = name.into();
         assert!(
             farads > 0.0,
             "capacitor {name} must have positive capacitance"
         );
-        self.elements.push(Element::Capacitor {
-            name: name.to_string(),
-            a,
-            b,
-            farads,
-        });
+        self.elements
+            .push(Element::Capacitor { name, a, b, farads });
     }
 
     /// Adds an inductor.
     ///
     /// # Panics
     /// Panics if `henries <= 0`.
-    pub fn add_inductor(&mut self, name: &str, a: NodeId, b: NodeId, henries: f64) {
+    pub fn add_inductor(&mut self, name: impl Into<String>, a: NodeId, b: NodeId, henries: f64) {
+        let name = name.into();
         assert!(
             henries > 0.0,
             "inductor {name} must have positive inductance"
         );
         self.elements.push(Element::Inductor {
-            name: name.to_string(),
+            name,
             a,
             b,
             henries,
@@ -209,27 +226,34 @@ impl Circuit {
     /// Panics if `henries` is zero or not finite.
     pub fn add_mutual_inductance(
         &mut self,
-        name: &str,
-        inductor_a: &str,
-        inductor_b: &str,
+        name: impl Into<String>,
+        inductor_a: impl Into<String>,
+        inductor_b: impl Into<String>,
         henries: f64,
     ) {
+        let name = name.into();
         assert!(
             henries != 0.0 && henries.is_finite(),
             "mutual inductance {name} must be non-zero and finite"
         );
         self.elements.push(Element::MutualInductance {
-            name: name.to_string(),
-            inductor_a: inductor_a.to_string(),
-            inductor_b: inductor_b.to_string(),
+            name,
+            inductor_a: inductor_a.into(),
+            inductor_b: inductor_b.into(),
             henries,
         });
     }
 
     /// Adds an independent voltage source (positive terminal `pos`).
-    pub fn add_vsource(&mut self, name: &str, pos: NodeId, neg: NodeId, waveform: SourceWaveform) {
+    pub fn add_vsource(
+        &mut self,
+        name: impl Into<String>,
+        pos: NodeId,
+        neg: NodeId,
+        waveform: SourceWaveform,
+    ) {
         self.elements.push(Element::VoltageSource {
-            name: name.to_string(),
+            name: name.into(),
             pos,
             neg,
             waveform,
@@ -238,9 +262,15 @@ impl Circuit {
 
     /// Adds an independent current source driving current from `from` to `to`
     /// through the external circuit.
-    pub fn add_isource(&mut self, name: &str, from: NodeId, to: NodeId, waveform: SourceWaveform) {
+    pub fn add_isource(
+        &mut self,
+        name: impl Into<String>,
+        from: NodeId,
+        to: NodeId,
+        waveform: SourceWaveform,
+    ) {
         self.elements.push(Element::CurrentSource {
-            name: name.to_string(),
+            name: name.into(),
             from,
             to,
             waveform,
@@ -253,16 +283,17 @@ impl Circuit {
     /// Panics if `width <= 0`.
     pub fn add_mosfet(
         &mut self,
-        name: &str,
+        name: impl Into<String>,
         drain: NodeId,
         gate: NodeId,
         source: NodeId,
         params: MosfetParams,
         width: f64,
     ) {
+        let name = name.into();
         assert!(width > 0.0, "mosfet {name} must have positive width");
         self.elements.push(Element::Mosfet {
-            name: name.to_string(),
+            name,
             drain,
             gate,
             source,

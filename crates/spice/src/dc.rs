@@ -250,7 +250,7 @@ mod tests {
         let mut nodes = Vec::new();
         for k in 0..n_res - 1 {
             let n = ckt.node(&format!("n{k}"));
-            ckt.add_resistor(&format!("R{k}"), prev, n, 10.0);
+            ckt.add_resistor(format!("R{k}"), prev, n, 10.0);
             nodes.push(n);
             prev = n;
         }

@@ -120,24 +120,27 @@ impl Element {
         }
     }
 
-    /// Nodes this element touches.
-    pub fn nodes(&self) -> Vec<NodeId> {
-        match self {
+    /// Nodes this element touches, in terminal order: two for the
+    /// two-terminal elements, drain/gate/source for a MOSFET, none for a
+    /// mutual inductance (it couples two inductor *branches* and has no
+    /// terminals of its own).
+    pub fn nodes(&self) -> impl ExactSizeIterator<Item = NodeId> + Clone {
+        let unused = NodeId(0);
+        let (terminals, count) = match self {
             Element::Resistor { a, b, .. }
             | Element::Capacitor { a, b, .. }
-            | Element::Inductor { a, b, .. } => vec![*a, *b],
-            Element::VoltageSource { pos, neg, .. } => vec![*pos, *neg],
-            Element::CurrentSource { from, to, .. } => vec![*from, *to],
-            // A mutual inductance couples two inductor *branches*; it has no
-            // terminals of its own.
-            Element::MutualInductance { .. } => vec![],
+            | Element::Inductor { a, b, .. }
+            | Element::VoltageSource { pos: a, neg: b, .. }
+            | Element::CurrentSource { from: a, to: b, .. } => ([*a, *b, unused], 2),
+            Element::MutualInductance { .. } => ([unused; 3], 0),
             Element::Mosfet {
                 drain,
                 gate,
                 source,
                 ..
-            } => vec![*drain, *gate, *source],
-        }
+            } => ([*drain, *gate, *source], 3),
+        };
+        terminals.into_iter().take(count)
     }
 
     /// Whether the element contributes an extra branch-current unknown to the
@@ -172,7 +175,7 @@ mod tests {
             ohms: 10.0,
         };
         assert_eq!(r.name(), "R1");
-        assert_eq!(r.nodes(), vec![a, b]);
+        assert_eq!(r.nodes().collect::<Vec<_>>(), vec![a, b]);
         assert!(!r.needs_branch_current());
         assert!(!r.is_nonlinear());
 
@@ -199,7 +202,7 @@ mod tests {
             henries: 0.5e-9,
         };
         assert_eq!(k.name(), "K1");
-        assert!(k.nodes().is_empty());
+        assert_eq!(k.nodes().len(), 0);
         assert!(!k.needs_branch_current());
         assert!(!k.is_nonlinear());
 

@@ -905,9 +905,9 @@ mod tests {
         for i in 0..segments {
             let mid = ckt.node(&format!("m{i}"));
             let node = ckt.node(&format!("n{i}"));
-            ckt.add_resistor(&format!("R{i}"), prev, mid, r_per);
-            ckt.add_inductor(&format!("L{i}"), mid, node, l_per);
-            ckt.add_capacitor(&format!("C{i}"), node, Circuit::GROUND, c_per);
+            ckt.add_resistor(format!("R{i}"), prev, mid, r_per);
+            ckt.add_inductor(format!("L{i}"), mid, node, l_per);
+            ckt.add_capacitor(format!("C{i}"), node, Circuit::GROUND, c_per);
             prev = node;
         }
         ckt.set_initial_condition(src, 0.0);

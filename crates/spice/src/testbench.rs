@@ -5,6 +5,8 @@
 //! experimental setups: "an RLC line driven by a 75X inverter" with a ramp
 //! input of a given transition time.
 
+use std::fmt::{self, Write as _};
+
 use crate::circuit::{Circuit, NodeId};
 use crate::mosfet::MosfetParams;
 use crate::source::SourceWaveform;
@@ -162,6 +164,39 @@ pub fn add_inverter_driver_with_input(
     }
 }
 
+/// Netlist names that share one prefix, formatted in one reused buffer.
+///
+/// Generated netlists name thousands of nodes and elements
+/// `{prefix}{suffix}`; building each in the same buffer costs no allocation
+/// until the name is stored ([`Circuit::node`] copies it once, an element
+/// adder takes an owned copy).
+#[derive(Debug, Clone)]
+pub struct NameBuffer {
+    buf: String,
+    prefix_len: usize,
+}
+
+impl NameBuffer {
+    /// A buffer whose names all start with `prefix`.
+    pub fn new(prefix: &str) -> Self {
+        let mut buf = String::with_capacity(prefix.len() + 16);
+        buf.push_str(prefix);
+        NameBuffer {
+            buf,
+            prefix_len: prefix.len(),
+        }
+    }
+
+    /// The name `{prefix}{suffix}`, valid until the next call.
+    pub fn name(&mut self, suffix: fmt::Arguments<'_>) -> &str {
+        self.buf.truncate(self.prefix_len);
+        self.buf
+            .write_fmt(suffix)
+            .expect("formatting into a String cannot fail");
+        &self.buf
+    }
+}
+
 /// Appends a segmented RLC ladder between `near` and a newly created far-end
 /// node, returning the far-end node. The total `r`, `l`, `c` are split over
 /// `segments` identical sections with the shunt capacitance distributed as
@@ -187,11 +222,13 @@ pub fn add_rlc_ladder(
     let rs = r / segments as f64;
     let ls = l / segments as f64;
     let cs = c / segments as f64;
+    ckt.reserve(2 * segments, 3 * segments + 2);
+    let mut names = NameBuffer::new(name_prefix);
 
     // Near-end half capacitor.
     if cs > 0.0 {
         ckt.add_capacitor(
-            &format!("{name_prefix}_C0"),
+            names.name(format_args!("_C0")).to_owned(),
             near,
             Circuit::GROUND,
             0.5 * cs,
@@ -199,23 +236,25 @@ pub fn add_rlc_ladder(
     }
     let mut prev = near;
     for k in 0..segments {
-        let mid = ckt.node(&format!("{name_prefix}_m{k}"));
-        let next = ckt.node(&format!("{name_prefix}_n{k}"));
-        if rs > 0.0 {
-            ckt.add_resistor(&format!("{name_prefix}_R{k}"), prev, mid, rs);
-        } else {
-            ckt.add_resistor(&format!("{name_prefix}_R{k}"), prev, mid, 1e-6);
-        }
+        let mid = ckt.node(names.name(format_args!("_m{k}")));
+        let next = ckt.node(names.name(format_args!("_n{k}")));
+        let r_name = names.name(format_args!("_R{k}")).to_owned();
+        ckt.add_resistor(r_name, prev, mid, if rs > 0.0 { rs } else { 1e-6 });
         if ls > 0.0 {
-            ckt.add_inductor(&format!("{name_prefix}_L{k}"), mid, next, ls);
+            ckt.add_inductor(names.name(format_args!("_L{k}")).to_owned(), mid, next, ls);
         } else {
-            ckt.add_resistor(&format!("{name_prefix}_Lr{k}"), mid, next, 1e-6);
+            ckt.add_resistor(
+                names.name(format_args!("_Lr{k}")).to_owned(),
+                mid,
+                next,
+                1e-6,
+            );
         }
         // Interior nodes carry a full section capacitance, the far end a half.
         let shunt = if k + 1 == segments { 0.5 * cs } else { cs };
         if shunt > 0.0 {
             ckt.add_capacitor(
-                &format!("{name_prefix}_C{}", k + 1),
+                names.name(format_args!("_C{}", k + 1)).to_owned(),
                 next,
                 Circuit::GROUND,
                 shunt,
@@ -226,7 +265,12 @@ pub fn add_rlc_ladder(
         prev = next;
     }
     if c_load > 0.0 {
-        ckt.add_capacitor(&format!("{name_prefix}_CL"), prev, Circuit::GROUND, c_load);
+        ckt.add_capacitor(
+            names.name(format_args!("_CL")).to_owned(),
+            prev,
+            Circuit::GROUND,
+            c_load,
+        );
     }
     prev
 }

@@ -30,6 +30,7 @@
 //! [`TransientAnalysis::run_with`] is `run_until` with nothing to watch.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use rlc_numeric::interp::crosses_on_step;
 use rlc_numeric::{CscMatrix, DenseMatrix, LuFactors, SparseLu};
@@ -370,7 +371,7 @@ pub struct TransientResult {
     solutions: Vec<f64>,
     stride: usize,
     system: MnaSystem,
-    node_names: HashMap<String, NodeId>,
+    node_names: HashMap<Arc<str>, NodeId>,
     strategy: KernelStrategy,
     degraded_to_dense: bool,
 }
@@ -563,24 +564,12 @@ impl TransientAnalysis {
             KernelStrategy::Auto => unreachable!("Auto was resolved above"),
         };
 
-        let node_names = (0..circuit.num_nodes())
-            .map(|k| {
-                let id = if k == 0 {
-                    Circuit::GROUND
-                } else {
-                    // Reconstruct NodeId; indices are stable.
-                    NodeId(k)
-                };
-                (circuit.node_name(id).to_string(), id)
-            })
-            .collect();
-
         Ok(TransientResult {
             times: out.times,
             solutions: out.solutions,
             stride: n,
             system,
-            node_names,
+            node_names: circuit.name_map().clone(),
             strategy: executed,
             degraded_to_dense: strategy == KernelStrategy::Sparse
                 && executed == KernelStrategy::FactorOnce,
@@ -1343,9 +1332,9 @@ mod tests {
         let mut far = src;
         for k in 0..segments {
             let n = ckt.node(&format!("n{k}"));
-            ckt.add_resistor(&format!("R{k}"), prev, n, 72.44 / segments as f64 * 5.0);
+            ckt.add_resistor(format!("R{k}"), prev, n, 72.44 / segments as f64 * 5.0);
             ckt.add_capacitor(
-                &format!("C{k}"),
+                format!("C{k}"),
                 n,
                 Circuit::GROUND,
                 1.1e-12 / segments as f64,

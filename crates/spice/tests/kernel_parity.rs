@@ -408,8 +408,8 @@ fn rc_ladder(sections: usize) -> (Circuit, String) {
     let mut prev = src;
     for k in 0..sections {
         let n = ckt.node(&format!("n{k}"));
-        ckt.add_resistor(&format!("R{k}"), prev, n, 40.0);
-        ckt.add_capacitor(&format!("C{k}"), n, Circuit::GROUND, ff(60.0));
+        ckt.add_resistor(format!("R{k}"), prev, n, 40.0);
+        ckt.add_capacitor(format!("C{k}"), n, Circuit::GROUND, ff(60.0));
         ckt.set_initial_condition(n, 0.0);
         prev = n;
     }

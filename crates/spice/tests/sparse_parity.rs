@@ -76,10 +76,10 @@ fn stamp_ladder(
     for k in 0..segments {
         let mid = ckt.node(&format!("{prefix}_m{k}"));
         let node = ckt.node(&format!("{prefix}_n{k}"));
-        ckt.add_resistor(&format!("R_{prefix}_{k}"), prev, mid, r_total / n);
-        ckt.add_inductor(&format!("L_{prefix}_{k}"), mid, node, l_total / n);
+        ckt.add_resistor(format!("R_{prefix}_{k}"), prev, mid, r_total / n);
+        ckt.add_inductor(format!("L_{prefix}_{k}"), mid, node, l_total / n);
         ckt.add_capacitor(
-            &format!("C_{prefix}_{k}"),
+            format!("C_{prefix}_{k}"),
             node,
             Circuit::GROUND,
             c_total / n,
@@ -88,7 +88,7 @@ fn stamp_ladder(
         far = node;
     }
     if c_load > 0.0 {
-        ckt.add_capacitor(&format!("CL_{prefix}"), far, Circuit::GROUND, c_load);
+        ckt.add_capacitor(format!("CL_{prefix}"), far, Circuit::GROUND, c_load);
     }
     far
 }
@@ -228,11 +228,11 @@ fn sparse_coupled_bus_matches_dense() {
     for k in 0..segments {
         let v = ckt.node(&format!("vic_n{k}"));
         let a = ckt.node(&format!("agg_n{k}"));
-        ckt.add_capacitor(&format!("CC{k}"), v, a, cc_total / segments as f64);
+        ckt.add_capacitor(format!("CC{k}"), v, a, cc_total / segments as f64);
         ckt.add_mutual_inductance(
-            &format!("K{k}"),
-            &format!("L_vic_{k}"),
-            &format!("L_agg_{k}"),
+            format!("K{k}"),
+            format!("L_vic_{k}"),
+            format!("L_agg_{k}"),
             m_per_seg,
         );
     }

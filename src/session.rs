@@ -668,19 +668,24 @@ fn validate(
 
     // Cycle check: walk the recorded dependency edges from every direct
     // dependency; reaching `index` means this submission would close a loop.
-    let mut stack = deps.clone();
-    let mut seen = vec![false; st.slots.len()];
-    while let Some(d) = stack.pop() {
-        if d == index {
-            return Err(EngineError::DependencyCycle {
-                label: stage.label().to_string(),
-            });
+    // Only a reservation can be reached. A fresh slot (`index` past the end)
+    // has issued no handle, so no recorded edge names it, and skipping the
+    // walk keeps submitting a long chain linear.
+    if index < st.slots.len() {
+        let mut stack = deps.clone();
+        let mut seen = vec![false; st.slots.len()];
+        while let Some(d) = stack.pop() {
+            if d == index {
+                return Err(EngineError::DependencyCycle {
+                    label: stage.label().to_string(),
+                });
+            }
+            if seen[d] {
+                continue;
+            }
+            seen[d] = true;
+            stack.extend(st.slots[d].deps.iter().copied());
         }
-        if seen[d] {
-            continue;
-        }
-        seen[d] = true;
-        stack.extend(st.slots[d].deps.iter().copied());
     }
 
     // Sink negotiation: a producer whose load is already known must expose

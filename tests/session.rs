@@ -215,8 +215,9 @@ fn diamond_dependencies_schedule_topologically() {
     assert!(pos("b") < pos("d") && pos("c") < pos("d"));
 }
 
-/// Cycles are rejected at submit time: self-reference, and a mutual cycle
-/// wired through reservations.
+/// Cycles are rejected at submit time: self-reference, a mutual cycle
+/// wired through reservations, and a reservation filled from fresh stages
+/// that depend on it.
 #[test]
 fn cycles_are_rejected_at_submit_time() {
     let cell = Arc::new(synthetic_cell(75.0, 70.0));
@@ -263,6 +264,20 @@ fn cycles_are_rejected_at_submit_time() {
                 .build()
                 .unwrap(),
         )
+        .unwrap_err();
+    assert!(matches!(err, EngineError::DependencyCycle { .. }));
+
+    // Fresh submissions chained onto a reservation: filling the reservation
+    // from the end of the chain closes the loop through the fresh slots.
+    let r = session.reserve();
+    let mut tail = r;
+    for label in ["f1", "f2", "f3"] {
+        tail = session
+            .submit(line_stage(&cell, label).input_from(tail).build().unwrap())
+            .unwrap();
+    }
+    let err = session
+        .submit_reserved(r, line_stage(&cell, "r").input_from(tail).build().unwrap())
         .unwrap_err();
     assert!(matches!(err, EngineError::DependencyCycle { .. }));
 }
