@@ -98,8 +98,10 @@ mod tests {
     fn bench_returns_a_plausible_median() {
         let mut runner = Runner::new("harness-self-test").slow();
         let d = runner.bench("spin", || {
+            // An opaque bound keeps release builds from folding the loop
+            // into a constant.
             let mut acc = 0u64;
-            for i in 0..100u64 {
+            for i in 0..std::hint::black_box(100u64) {
                 acc = acc.wrapping_add(i * i);
             }
             acc

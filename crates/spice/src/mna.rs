@@ -335,6 +335,14 @@ impl MnaSystem {
         self.mosfets.is_empty()
     }
 
+    /// Whether every independent voltage and current source evaluates to
+    /// exactly `0.0` at time `t`: from a zero state, the transient
+    /// right-hand side at `t` is then zero as well.
+    pub(crate) fn sources_quiet_at(&self, t: f64) -> bool {
+        self.vsources.iter().all(|v| v.waveform.value_at(t) == 0.0)
+            && self.isources.iter().all(|i| i.waveform.value_at(t) == 0.0)
+    }
+
     /// Stamps the state-independent part of the DC system: gmin, resistors,
     /// inductor shorts, voltage-source constraints and current-source
     /// injections. Everything except the MOSFET linearizations, which are the

@@ -28,6 +28,16 @@
 //! bit (`f64::to_bits`) on every sample it holds, so every first crossing it
 //! contains measures exactly what the full window would have measured.
 //! [`TransientAnalysis::run_with`] is `run_until` with nothing to watch.
+//!
+//! # Fast-forwarding the quiescent prefix
+//!
+//! A far-end handoff drives its line with a ramp placed at absolute path
+//! time, so its run starts at rest, waiting for the driver to switch. While
+//! the starting state and every source are exactly zero, a step solves a
+//! zero system to a zero solution, so the linear kernels record those steps
+//! as zero rows without solving them ([`TransientAnalysis::run_until`]
+//! states the rule, [`TransientResult::quiescent_steps`] counts the skipped
+//! steps). Only the sign of those zeros can differ from a solve.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -335,6 +345,8 @@ struct Trace<'c> {
     times: Vec<f64>,
     solutions: Vec<f64>,
     stop: StopWatch<'c>,
+    /// Steps recorded by [`Trace::fast_forward`] without a solve.
+    quiescent: usize,
 }
 
 impl Trace<'_> {
@@ -344,6 +356,38 @@ impl Trace<'_> {
         self.times.push(t);
         self.solutions.extend_from_slice(x);
         self.stop.all_crossed(system, x)
+    }
+
+    /// Records the quiescent prefix of a linear run: while the starting
+    /// state `x0` is exactly zero and every source is exactly zero at
+    /// `t = step·h`, the step's right-hand side is zero and its solution is
+    /// zero, so the step is accepted as an all-zero row without assembling
+    /// or solving; `zero_row` is a one-row buffer that holds those zeros.
+    /// Returns the first step the kernel must solve: past `n_steps` when the
+    /// window or the stop test ended inside the prefix.
+    fn fast_forward(
+        &mut self,
+        system: &MnaSystem,
+        h: f64,
+        n_steps: usize,
+        x0: &[f64],
+        zero_row: &mut [f64],
+    ) -> usize {
+        if x0.iter().any(|&v| v != 0.0) {
+            return 1;
+        }
+        zero_row.fill(0.0);
+        for step in 1..=n_steps {
+            let t = step as f64 * h;
+            if !system.sources_quiet_at(t) {
+                return step;
+            }
+            self.quiescent += 1;
+            if self.push(system, t, zero_row) {
+                break;
+            }
+        }
+        n_steps + 1
     }
 }
 
@@ -374,6 +418,7 @@ pub struct TransientResult {
     node_names: HashMap<Arc<str>, NodeId>,
     strategy: KernelStrategy,
     degraded_to_dense: bool,
+    quiescent_steps: usize,
 }
 
 impl TransientResult {
@@ -396,6 +441,16 @@ impl TransientResult {
     /// callers can report *why* the fast path was abandoned.
     pub fn degraded_to_dense(&self) -> bool {
         self.degraded_to_dense
+    }
+
+    /// Number of steps of the quiescent prefix the run recorded as all-zero
+    /// rows without solving: the leading steps of a linear run from an
+    /// exactly zero state on which every source is exactly zero (see
+    /// [`TransientAnalysis::run_until`]). Always 0 for a nonzero starting
+    /// state and for the [`KernelStrategy::SplitStamp`] and
+    /// [`KernelStrategy::LegacyFull`] kernels, which solve every step.
+    pub fn quiescent_steps(&self) -> usize {
+        self.quiescent_steps
     }
 
     /// Number of accepted time points.
@@ -451,7 +506,8 @@ impl TransientAnalysis {
     /// repeated runs (characterization grids, backend batches) perform no
     /// kernel allocation after the first run. This is
     /// [`TransientAnalysis::run_until`] with nothing to watch: the run always
-    /// reaches the stop time.
+    /// reaches the stop time, and a linear run from rest fast-forwards its
+    /// quiescent prefix as described there.
     ///
     /// # Errors
     /// Returns a [`SpiceError`] if the circuit is invalid, the requested
@@ -478,6 +534,22 @@ impl TransientAnalysis {
     /// the full window. Only runs whose outputs are such first crossings
     /// should stop early: peaks, settled levels and the waveform tail belong
     /// to the full window.
+    ///
+    /// The sparse and dense factor-once kernels fast-forward the quiescent
+    /// prefix: while the starting state is exactly zero and every
+    /// independent voltage and current source evaluates to exactly `0.0` at
+    /// `t = step·h`, the step is recorded as an all-zero row, without
+    /// assembling or solving, and handed to the stop test like any other
+    /// row. The factorization and its pivot-health gate run first, so the
+    /// executed kernel and [`TransientResult::degraded_to_dense`] do not
+    /// change. Both entry points skip the same steps, so the prefix
+    /// guarantee above stays bit for bit. Against the same kernel solving
+    /// every step it holds up to the sign of exact zeros: a solved prefix
+    /// step may read `-0.0` where the fast-forward records `+0.0`, and since
+    /// no nonzero value of a later step depends on the sign of a zero, every
+    /// nonzero sample is unchanged. [`KernelStrategy::LegacyFull`] and the
+    /// nonlinear kernels never skip; [`TransientResult::quiescent_steps`]
+    /// reports how many steps were skipped.
     ///
     /// # Errors
     /// As [`TransientAnalysis::run_with`], plus
@@ -543,6 +615,7 @@ impl TransientAnalysis {
             times: Vec::with_capacity(n_steps + 1),
             solutions: Vec::with_capacity((n_steps + 1) * n),
             stop: StopWatch::new(&system, crossings, &x0),
+            quiescent: 0,
         };
         out.times.push(0.0);
         out.solutions.extend_from_slice(&x0);
@@ -573,6 +646,7 @@ impl TransientAnalysis {
             strategy: executed,
             degraded_to_dense: strategy == KernelStrategy::Sparse
                 && executed == KernelStrategy::FactorOnce,
+            quiescent_steps: out.quiescent,
         })
     }
 
@@ -596,7 +670,8 @@ impl TransientAnalysis {
             .map_err(|_| SpiceError::SingularMatrix { time: Some(h) })?;
         system.init_cap_ieq(h, method, &ws.prev_x, &mut ws.cap_ieq);
 
-        for step in 1..=n_steps {
+        let first = out.fast_forward(system, h, n_steps, &ws.prev_x, &mut ws.x_new);
+        for step in first..=n_steps {
             let t = step as f64 * h;
             system.transient_rhs_fused(t, h, method, &ws.prev_x, &mut ws.cap_ieq, &mut ws.rhs);
             ws.lu.solve_into(&ws.rhs, &mut ws.x_new);
@@ -647,7 +722,8 @@ impl TransientAnalysis {
         }
 
         system.init_cap_ieq(h, method, &ws.prev_x, &mut ws.cap_ieq);
-        for step in 1..=n_steps {
+        let first = out.fast_forward(system, h, n_steps, &ws.prev_x, &mut ws.x_new);
+        for step in first..=n_steps {
             let t = step as f64 * h;
             system.transient_rhs_fused(t, h, method, &ws.prev_x, &mut ws.cap_ieq, &mut ws.rhs);
             ws.sparse_lu.solve_into(&ws.rhs, &mut ws.x_new);

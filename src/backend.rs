@@ -230,6 +230,13 @@ impl StageReport {
     /// netlist (an ideal PWL source driving the load — step 5 of the paper's
     /// flow) and measures the far-end response at the load's primary sink.
     ///
+    /// The driver waveform sits at absolute path time, so the line rests at
+    /// 0 V until the driver starts to switch. That dead time is not
+    /// simulated: the transient records it as zero samples without solving
+    /// ([`TransientAnalysis::run_until`] describes the rule). Every
+    /// measurement, and every nonzero sample of the waveform, is what
+    /// solving those steps would give.
+    ///
     /// # Errors
     /// Returns load/simulation errors, and a measurement error when the far
     /// end never completes its transition within the simulated window.
@@ -261,7 +268,9 @@ impl StageReport {
     /// (`from_measured(input_t50 + delay_from_input, slew)`), but the
     /// propagation stops once the far end has crossed 90 %
     /// ([`TransientAnalysis::run_until`]) instead of simulating the settling
-    /// tail that only overshoot and the waveform need.
+    /// tail that only overshoot and the waveform need. As in
+    /// [`StageReport::far_end`], the dead time before the driver switches is
+    /// not simulated either.
     ///
     /// # Errors
     /// As [`StageReport::far_end`].
