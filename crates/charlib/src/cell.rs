@@ -109,10 +109,19 @@ impl DriverCell {
 
     /// Re-extracts the on-resistance against a specific load capacitance
     /// (for example the total capacitance of the line being analyzed, which
-    /// is the paper's prescription).
+    /// is the paper's prescription): one transistor-level transient of the
+    /// inverter spec against a lumped `load`, stopped at the output's 90 %
+    /// crossing ([`crate::driver_on_resistance`]).
+    ///
+    /// The value depends on the spec and `load` alone, never on the input
+    /// event of the stage being analyzed. That is what lets the
+    /// `rlc-ceff-suite` session extract it for a waiting stage, against the
+    /// total capacitance of the stage's reduced load, while the stage's
+    /// producer is still running.
     ///
     /// # Errors
-    /// Propagates simulation failures.
+    /// Propagates simulation failures, including a `load` whose extraction
+    /// window would exceed the transient's trace budget (a 1 µF load).
     pub fn on_resistance_for_load(&self, load: f64) -> Result<f64, CharlibError> {
         Ok(driver_on_resistance(&self.spec, ps(100.0), load, OutputTransition::Rising)?.resistance)
     }

@@ -183,6 +183,19 @@ impl ReducedLoad {
     }
 }
 
+/// Which waveform shape the modelling flow produces.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum CeffStrategy {
+    /// The paper's flow: screen with Equation 9, two-ramp when inductance is
+    /// significant, single ramp otherwise.
+    #[default]
+    Auto,
+    /// Always the classic single-Ceff ramp (the "1 ramp" baseline).
+    ForceSingleRamp,
+    /// Always the two-ramp waveform (requires a transmission-line load).
+    ForceTwoRamp,
+}
+
 /// Configuration of the modelling flow.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModelingConfig {
@@ -454,6 +467,56 @@ impl DriverOutputModeler {
         })
     }
 
+    /// Runs steps 3 to 5 of the flow against an already reduced load at a
+    /// given driver on-resistance `rs` (ohms), in the waveform shape
+    /// `strategy` selects; `input_t50 = input_delay + input_slew / 2`. The
+    /// other `model_reduced*` entries obtain `rs` per
+    /// [`ModelingConfig::extract_rs_per_case`] and call this one.
+    ///
+    /// Rs depends on the driver and the load's total capacitance, never on
+    /// the input event, so a caller may extract it ahead of time (the
+    /// `rlc-ceff-suite` session does, while a stage still waits on its
+    /// input). The result is bit-identical to the extracting entries when
+    /// `rs` is the value they would extract.
+    ///
+    /// # Errors
+    /// Propagates iteration errors, and returns [`CeffError::InvalidCase`]
+    /// when [`CeffStrategy::ForceTwoRamp`] meets a load without a
+    /// transmission line.
+    pub fn model_reduced_with_rs(
+        &self,
+        cell: &DriverCell,
+        load: &ReducedLoad,
+        rs: f64,
+        strategy: CeffStrategy,
+        input_slew: f64,
+        input_delay: f64,
+    ) -> Result<DriverOutputModel, CeffError> {
+        let f = Self::breakpoint(load, rs);
+        let input_t50 = input_delay + 0.5 * input_slew;
+        if strategy == CeffStrategy::ForceSingleRamp
+            || (strategy == CeffStrategy::Auto && load.wave.is_none())
+        {
+            // The forced baseline, or no line and no reflection: the classic
+            // single effective capacitance is the whole story.
+            return self.single_ramp_reduced(cell, load, rs, f, input_slew, input_t50, None);
+        }
+
+        // Step 3: Ceff1 / Tr1.
+        let ceff1 = iterate_ceff1(cell, &load.fit, input_slew, f, &self.config.iteration)?;
+
+        // Step 4: inductance criteria using the *output* initial ramp.
+        let report = self.criteria_report(load, rs, ceff1.ramp_time);
+
+        if strategy == CeffStrategy::ForceTwoRamp || report.inductance_significant() {
+            // Step 5a: Ceff2, plateau correction, two-ramp waveform.
+            self.two_ramp_reduced(cell, load, rs, f, ceff1, report, input_slew, input_t50)
+        } else {
+            // Step 5b: classic single effective capacitance (f = 1).
+            self.single_ramp_reduced(cell, load, rs, f, input_slew, input_t50, Some(report))
+        }
+    }
+
     /// Runs the full flow against an already reduced load: two-ramp when the
     /// load has a line and the inductance criteria pass, single ramp
     /// otherwise. This is the generalized entry point the `rlc-ceff-suite`
@@ -469,27 +532,7 @@ impl DriverOutputModeler {
         input_delay: f64,
     ) -> Result<DriverOutputModel, CeffError> {
         let rs = self.driver_resistance(cell, load.total_capacitance())?;
-        let f = Self::breakpoint(load, rs);
-        let input_t50 = input_delay + 0.5 * input_slew;
-        if load.wave.is_none() {
-            // No line, no reflection: the classic single effective
-            // capacitance is the whole story.
-            return self.single_ramp_reduced(cell, load, rs, f, input_slew, input_t50, None);
-        }
-
-        // Step 3: Ceff1 / Tr1.
-        let ceff1 = iterate_ceff1(cell, &load.fit, input_slew, f, &self.config.iteration)?;
-
-        // Step 4: inductance criteria using the *output* initial ramp.
-        let report = self.criteria_report(load, rs, ceff1.ramp_time);
-
-        if report.inductance_significant() {
-            // Step 5a: Ceff2, plateau correction, two-ramp waveform.
-            self.two_ramp_reduced(cell, load, rs, f, ceff1, report, input_slew, input_t50)
-        } else {
-            // Step 5b: classic single effective capacitance (f = 1).
-            self.single_ramp_reduced(cell, load, rs, f, input_slew, input_t50, Some(report))
-        }
+        self.model_reduced_with_rs(cell, load, rs, CeffStrategy::Auto, input_slew, input_delay)
     }
 
     /// The single-ramp (classic Ceff) model of a reduced load regardless of
@@ -505,9 +548,8 @@ impl DriverOutputModeler {
         input_delay: f64,
     ) -> Result<DriverOutputModel, CeffError> {
         let rs = self.driver_resistance(cell, load.total_capacitance())?;
-        let f = Self::breakpoint(load, rs);
-        let input_t50 = input_delay + 0.5 * input_slew;
-        self.single_ramp_reduced(cell, load, rs, f, input_slew, input_t50, None)
+        let strategy = CeffStrategy::ForceSingleRamp;
+        self.model_reduced_with_rs(cell, load, rs, strategy, input_slew, input_delay)
     }
 
     /// The two-ramp model of a reduced load regardless of the inductance
@@ -524,11 +566,8 @@ impl DriverOutputModeler {
         input_delay: f64,
     ) -> Result<DriverOutputModel, CeffError> {
         let rs = self.driver_resistance(cell, load.total_capacitance())?;
-        let f = Self::breakpoint(load, rs);
-        let input_t50 = input_delay + 0.5 * input_slew;
-        let ceff1 = iterate_ceff1(cell, &load.fit, input_slew, f, &self.config.iteration)?;
-        let report = self.criteria_report(load, rs, ceff1.ramp_time);
-        self.two_ramp_reduced(cell, load, rs, f, ceff1, report, input_slew, input_t50)
+        let strategy = CeffStrategy::ForceTwoRamp;
+        self.model_reduced_with_rs(cell, load, rs, strategy, input_slew, input_delay)
     }
 
     /// Runs the full flow: two-ramp when the inductance criteria pass, single

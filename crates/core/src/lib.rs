@@ -63,8 +63,8 @@ pub use charge::{ceff_first_ramp, ceff_second_ramp, ChargeWindow};
 pub use criteria::{CriteriaReport, InductanceCriteria};
 pub use far_end::{FarEndResponse, SinkResponse, TreeFarEndResponse};
 pub use flow::{
-    AnalysisCase, DriverOutputModel, DriverOutputModeler, ModelingConfig, ReducedLoad,
-    WaveParameters,
+    AnalysisCase, CeffStrategy, DriverOutputModel, DriverOutputModeler, ModelingConfig,
+    ReducedLoad, WaveParameters,
 };
 pub use iteration::{CeffIteration, IterationSettings};
 pub use plateau::plateau_corrected_tr2;
@@ -79,8 +79,8 @@ pub mod prelude {
     pub use crate::criteria::{CriteriaReport, InductanceCriteria};
     pub use crate::far_end::{FarEndResponse, SinkResponse, TreeFarEndResponse};
     pub use crate::flow::{
-        AnalysisCase, DriverOutputModel, DriverOutputModeler, ModelingConfig, ReducedLoad,
-        WaveParameters,
+        AnalysisCase, CeffStrategy, DriverOutputModel, DriverOutputModeler, ModelingConfig,
+        ReducedLoad, WaveParameters,
     };
     pub use crate::iteration::{CeffIteration, IterationSettings};
     pub use crate::single_ramp::SingleRampModel;

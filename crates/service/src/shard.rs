@@ -188,7 +188,8 @@ impl Drop for WorkerPool {
 }
 
 /// The client-facing front of a worker fleet: accepts protocol connections
-/// and runs one [`Coordinator`] per client.
+/// and runs one coordinator per client, which routes the client's stages to
+/// the shards.
 pub struct ShardServer {
     listener: TcpListener,
     pool: Arc<Mutex<WorkerPool>>,

@@ -119,9 +119,7 @@ impl Circuit {
 
     /// Number of non-ground nodes — the node-voltage unknown count of the
     /// MNA system (branch currents add on top; see
-    /// [`crate::MnaSystem::num_unknowns`]). This is the size measure the
-    /// transient kernel's Auto strategy compares against its sparse
-    /// threshold.
+    /// [`crate::mna::MnaSystem::num_unknowns`]).
     pub fn node_count(&self) -> usize {
         self.node_names.len() - 1
     }
@@ -129,9 +127,8 @@ impl Circuit {
     /// Number of *unique* matrix positions the transient MNA stamp touches —
     /// the structural nonzero count of the system matrix. Together with
     /// [`Circuit::node_count`] this makes sparsity observable:
-    /// `stamp_nnz() / n²` is the fill fraction that decides whether the
-    /// sparse kernel pays off. Compiles the circuit; intended for
-    /// diagnostics, not hot loops.
+    /// `stamp_nnz() / n²` is the system's fill fraction. Compiles the
+    /// circuit; intended for diagnostics, not hot loops.
     pub fn stamp_nnz(&self) -> usize {
         crate::mna::MnaSystem::compile(self).stamp_nnz()
     }
@@ -148,7 +145,7 @@ impl Circuit {
     }
 
     /// Human-readable label of MNA unknown `index`, mirroring the compile
-    /// order of [`crate::MnaSystem`]: unknowns `0..num_nodes()-1` are the
+    /// order of [`crate::mna::MnaSystem`]: unknowns `0..num_nodes()-1` are the
     /// non-ground node voltages (unknown `k` is node `k + 1`), and branch
     /// currents follow in element insertion order (inductors and voltage
     /// sources). A diagnostics hook: lets structural analyses name the rows

@@ -52,6 +52,14 @@ use crate::mosfet::MosfetEvalCache;
 use crate::waveform::Waveform;
 use crate::SpiceError;
 
+/// Most `f64` values a run may reserve for its trace up front: a time and a
+/// solution vector per step, `(steps + 1) × (unknowns + 1)` values, 1 GiB.
+/// Far above every run the workspace makes: the largest, a 1 800-unknown
+/// tree far end over 9 200 steps, holds ~17 M values, and a 1 nF driver Rs
+/// extraction ~13 M. A window beyond it, such as a 1 µF Rs extraction's
+/// ~13 G values, is refused before anything is allocated.
+const TRACE_VALUE_BUDGET: usize = 1 << 27;
+
 /// Integration method for the transient companion models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IntegrationMethod {
@@ -513,6 +521,9 @@ impl TransientAnalysis {
     /// Returns a [`SpiceError`] if the circuit is invalid, the requested
     /// kernel cannot run it (`FactorOnce` on a nonlinear circuit), the
     /// Newton loop fails to converge, or the MNA matrix is singular.
+    /// [`SpiceError::InvalidOptions`] refuses a run whose trace would hold
+    /// more than 2²⁷ values (`(steps + 1) × (unknowns + 1)` `f64`s, 1 GiB)
+    /// before anything is allocated.
     pub fn run_with(
         &self,
         circuit: &Circuit,
@@ -575,6 +586,19 @@ impl TransientAnalysis {
         let system = MnaSystem::compile(circuit);
         let n = system.num_unknowns();
         let opts = &self.options;
+        let n_steps = (opts.stop_time / opts.time_step).round() as usize;
+        // The trace is reserved up front: a time and a solution per step.
+        // Refuse a run that could not be held before allocating it, so an
+        // absurd window is a typed error instead of an aborted process.
+        let values = n_steps.saturating_add(1).saturating_mul(n + 1);
+        if values > TRACE_VALUE_BUDGET {
+            return Err(SpiceError::InvalidOptions(format!(
+                "the run needs {values} trace values ({} time points of {n} unknowns and a \
+                 time each), above the {TRACE_VALUE_BUDGET}-value budget; shorten the stop \
+                 time or lengthen the time step",
+                n_steps + 1
+            )));
+        }
 
         let strategy = match opts.strategy {
             KernelStrategy::Auto if system.is_linear() => KernelStrategy::Sparse,
@@ -610,7 +634,6 @@ impl TransientAnalysis {
         ws.prepare(n, system.num_capacitors(), system.num_mosfets());
         ws.prev_x.copy_from_slice(&x0);
 
-        let n_steps = (opts.stop_time / opts.time_step).round() as usize;
         let mut out = Trace {
             times: Vec::with_capacity(n_steps + 1),
             solutions: Vec::with_capacity((n_steps + 1) * n),
@@ -1355,6 +1378,32 @@ mod tests {
             for (a, b) in legacy.values().iter().zip(fast.values()) {
                 assert!((a - b).abs() < 1e-9, "{method:?}");
             }
+        }
+    }
+
+    /// A run whose trace would exceed the reservation budget is refused as
+    /// a typed error before anything is allocated, not aborted by the
+    /// allocator.
+    #[test]
+    fn a_trace_over_the_budget_is_refused_before_allocating() {
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let b = ckt.node("b");
+        ckt.add_vsource("V1", a, Circuit::GROUND, SourceWaveform::dc(1.0));
+        ckt.add_resistor("R1", a, b, 1000.0);
+        ckt.add_capacitor("C1", b, Circuit::GROUND, ff(100.0));
+        let n = MnaSystem::compile(&ckt).num_unknowns();
+        // The fewest trace rows (steps + 1) that exceed the budget.
+        let rows = TRACE_VALUE_BUDGET / (n + 1) + 1;
+        assert!((rows - 1) * (n + 1) <= TRACE_VALUE_BUDGET);
+        let h = ps(1.0);
+        let options = TransientOptions::try_new(h, (rows - 1) as f64 * h).unwrap();
+        match TransientAnalysis::new(options).run(&ckt) {
+            Err(SpiceError::InvalidOptions(msg)) => assert!(msg.contains("budget"), "{msg}"),
+            other => panic!(
+                "expected a refused run, got {:?}",
+                other.map(|r| r.times().len())
+            ),
         }
     }
 

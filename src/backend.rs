@@ -20,7 +20,7 @@ use rlc_spice::transient::{
 };
 use rlc_spice::{SourceWaveform, SpiceError, Waveform};
 
-use crate::config::{CeffStrategy, EngineConfig};
+use crate::config::EngineConfig;
 use crate::driver::{DriverModel, SampledWaveform};
 use crate::error::EngineError;
 use crate::load::LoadModel;
@@ -146,7 +146,13 @@ pub struct StageReport {
     /// (`rlc_lint::codes::SPARSE_DEGRADED`). Empty under `LintLevel::Off`
     /// and for clean stages.
     pub lints: Vec<Diagnostic>,
-    /// Wall-clock time the analysis took (seconds).
+    /// Wall-clock time of the backend call that produced the report
+    /// (seconds). Work done for the stage before that call is not in it: a
+    /// session's far-end handoff, and the load reduction and Rs extraction a
+    /// session prepares while the stage waits on its producer (see the
+    /// [`crate::AnalysisSession`] scheduling rules). An analytic stage whose
+    /// extraction was prepared ahead therefore reports less time than the
+    /// same stage analyzed directly; the work moved, it was not saved.
     pub elapsed_seconds: f64,
     /// Provenance: `true` when this report was replayed from the persistent
     /// stage-result cache ([`crate::StageResultCache`]) instead of being
@@ -398,18 +404,23 @@ fn analytic_stage_report(
     config: &EngineConfig,
 ) -> Result<StageReport, EngineError> {
     let started = Instant::now();
-    let load = stage.load().reduce()?;
+    // Under per-case extraction the reduced load and its Rs come from the
+    // stage's compute-once cell, which a session may have filled while the
+    // stage waited on its input.
+    let (load, rs) = if config.extract_rs_per_case {
+        stage.prepared_load()?
+    } else {
+        (stage.load().reduce()?, stage.driver().on_resistance())
+    };
     let input = stage.input();
-    let modeler = DriverOutputModeler::new(config.modeling_config());
-    let model = match config.strategy {
-        CeffStrategy::Auto => modeler.model_reduced(stage.driver(), &load, input.slew, input.delay),
-        CeffStrategy::ForceSingleRamp => {
-            modeler.model_reduced_single_ramp(stage.driver(), &load, input.slew, input.delay)
-        }
-        CeffStrategy::ForceTwoRamp => {
-            modeler.model_reduced_two_ramp(stage.driver(), &load, input.slew, input.delay)
-        }
-    }?;
+    let model = DriverOutputModeler::new(config.modeling_config()).model_reduced_with_rs(
+        stage.driver(),
+        &load,
+        rs,
+        config.strategy,
+        input.slew,
+        input.delay,
+    )?;
     let waveform: Arc<dyn DriverModel> = match model.waveform {
         ModelWaveform::SingleRamp(m) => Arc::new(m),
         ModelWaveform::TwoRamp(m) => Arc::new(m),
@@ -819,13 +830,13 @@ mod tests {
         .build()
         .unwrap();
         let single_cfg = EngineConfig {
-            strategy: CeffStrategy::ForceSingleRamp,
+            strategy: crate::CeffStrategy::ForceSingleRamp,
             ..fast_config()
         };
         let one = AnalyticBackend.analyze(&stage, &single_cfg).unwrap();
         assert!(!one.used_two_ramp);
         let two_cfg = EngineConfig {
-            strategy: CeffStrategy::ForceTwoRamp,
+            strategy: crate::CeffStrategy::ForceTwoRamp,
             ..fast_config()
         };
         let two = AnalyticBackend.analyze(&stage, &two_cfg).unwrap();

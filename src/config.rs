@@ -7,21 +7,9 @@ use std::time::Duration;
 
 use rlc_ceff::far_end::FarEndOptions;
 use rlc_ceff::validation::GoldenOptions;
+pub use rlc_ceff::CeffStrategy;
 use rlc_ceff::{InductanceCriteria, IterationSettings, ModelingConfig};
 use rlc_lint::LintLevel;
-
-/// Which waveform shape the analytic backend produces.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CeffStrategy {
-    /// The paper's flow: screen with Equation 9, two-ramp when inductance is
-    /// significant, single ramp otherwise.
-    #[default]
-    Auto,
-    /// Always the classic single-Ceff ramp (the "1 ramp" baseline).
-    ForceSingleRamp,
-    /// Always the two-ramp waveform (requires a transmission-line load).
-    ForceTwoRamp,
-}
 
 /// Complete configuration of a [`crate::TimingEngine`].
 ///

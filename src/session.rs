@@ -1,33 +1,10 @@
 //! [`AnalysisSession`]: dependency-aware, streaming stage analysis.
 //!
-//! A flat batch treats every stage as independent; real paths are not. The waveform measured at one stage's far end *is* the
-//! input event of the next driver, and a signoff flow wants per-stage
-//! results as they land, not one big synchronized collect. A session models
-//! exactly that:
-//!
-//! * Stages are submitted individually or in bulk and return typed
-//!   [`StageHandle`]s.
-//! * A stage may declare its input as [`InputSource::FromFarEnd`] or
-//!   [`InputSource::FromSink`] instead of a fixed
-//!   [`crate::InputEvent`]; the session resolves the producer's measured
-//!   far-end waveform into the dependent driver's input — a slew-referenced
-//!   ramp by default ([`crate::InputEvent::from_measured`]), or the full
-//!   sampled waveform when the backend reports
-//!   [`crate::BackendCaps::sampled_input`]. A ramp handoff from the primary
-//!   far end simulates the propagation only up to the far end's last
-//!   measured crossing ([`StageReport::far_end_handoff`]); the sampled
-//!   waveform and named sinks come from full-window runs.
-//! * Scheduling is topological over a work queue on the engine's thread
-//!   pool: independent stages run in parallel, dependents unblock the moment
-//!   their producer completes, cycles and unknown sink names are rejected at
-//!   submit time, and a failing producer poisons **only** its dependents
-//!   ([`EngineError::UpstreamFailed`]).
-//! * Results stream out via [`AnalysisSession::next_report`] (or the
-//!   [`AnalysisSession::reports`] iterator) in completion order;
-//!   [`AnalysisSession::wait_all`] blocks for everything and returns results
-//!   in submission order. [`crate::SessionOptions`] adds a deadline and an
-//!   in-flight cap; [`AnalysisSession::cancel`] aborts everything that has
-//!   not started yet.
+//! A flat batch treats every stage as independent; real paths are not. The
+//! waveform measured at one stage's far end *is* the input event of the next
+//! driver, and a signoff flow wants per-stage results as they land, not one
+//! big synchronized collect. A session models exactly that; its scheduling
+//! rules are documented on [`AnalysisSession`].
 //!
 //! ```no_run
 //! use rlc_ceff_suite::{DistributedRlcLoad, EngineConfig, Stage, TimingEngine};
@@ -56,6 +33,7 @@
 //! ```
 
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -194,6 +172,11 @@ struct SlotData {
     /// stage cannot be fingerprinted (custom backend/load, uncacheable
     /// producer).
     cache_key: Option<crate::eco::StageKey>,
+    /// The stage started its backend analysis (after a result-cache miss, or
+    /// on dispatch when no result cache is configured), so its waiting
+    /// dependents may be prepared from now on. Only recorded on sessions
+    /// that prepare ahead.
+    started: bool,
     phase: Phase,
 }
 
@@ -210,6 +193,7 @@ impl SlotData {
             handoff_gate: Arc::new(Mutex::new(())),
             lints: Vec::new(),
             cache_key: None,
+            started: false,
             phase: Phase::Reserved,
         }
     }
@@ -218,6 +202,10 @@ impl SlotData {
 struct State {
     slots: Vec<SlotData>,
     ready: VecDeque<usize>,
+    /// Waiting stages an idle worker may prepare ahead of their input
+    /// ([`Stage::prepared_load`]), oldest first. Entries that stopped
+    /// waiting or were prepared meanwhile are skipped when popped.
+    prepare: VecDeque<usize>,
     cancelled: bool,
     deadline_fired: bool,
     shutdown: bool,
@@ -244,6 +232,9 @@ struct Shared {
     simulated: AtomicU64,
     /// Number of stages short-circuited from the result cache.
     result_hits: AtomicU64,
+    /// Whether idle workers prepare waiting analytic stages ahead of their
+    /// input: on with per-case Rs extraction and more than one worker.
+    prepare_ahead: bool,
 }
 
 impl Shared {
@@ -253,8 +244,47 @@ impl Shared {
 }
 
 /// A dependency-aware analysis session. Create one with
-/// [`TimingEngine::session`] / [`TimingEngine::session_with`]; see the
-/// [module docs](self) for the full model.
+/// [`TimingEngine::session`] / [`TimingEngine::session_with`].
+///
+/// * Stages are submitted individually or in bulk and return typed
+///   [`StageHandle`]s.
+/// * A stage may declare its input as [`InputSource::FromFarEnd`] or
+///   [`InputSource::FromSink`] instead of a fixed
+///   [`crate::InputEvent`]; the session resolves the producer's measured
+///   far-end waveform into the dependent driver's input — a slew-referenced
+///   ramp by default ([`crate::InputEvent::from_measured`]), or the full
+///   sampled waveform when the backend reports
+///   [`crate::BackendCaps::sampled_input`]. A ramp handoff from the primary
+///   far end simulates the propagation only up to the far end's last
+///   measured crossing ([`StageReport::far_end_handoff`]); the sampled
+///   waveform and named sinks come from full-window runs.
+/// * Scheduling is topological over a work queue on the engine's thread
+///   pool: independent stages run in parallel, dependents unblock the moment
+///   their producer completes, cycles and unknown sink names are rejected at
+///   submit time, and a failing producer poisons **only** its dependents
+///   ([`EngineError::UpstreamFailed`]).
+/// * Idle workers prepare waiting stages ahead of their input. Under per-case
+///   Rs extraction ([`crate::EngineConfig::extract_rs_per_case`], the
+///   default), a stage's load reduction and the driver on-resistance
+///   extracted against the load's total capacitance do not depend on the
+///   input event. A waiting stage on the analytic backend becomes preparable
+///   once one of its dependencies starts its own backend analysis (after a
+///   result-cache miss, or on dispatch when no result cache is configured),
+///   or on submit when one already has. A worker takes ready stages first
+///   and prepares only when none is ready, so when the stage's input lands
+///   it runs only its handoff and its Ceff iteration. Nothing is prepared
+///   with extraction off, for SPICE or custom-backend stages, or on a
+///   one-worker session. Reports are bit-identical either way; a prepare
+///   that panics leaves nothing behind, and the stage's own analysis
+///   re-runs it and reports [`EngineError::StagePanicked`].
+///   [`StageReport::elapsed_seconds`] stays the backend call's wall time, so
+///   it no longer covers a prepared extraction.
+/// * Results stream out via [`AnalysisSession::next_report`] (or the
+///   [`AnalysisSession::reports`] iterator) in completion order;
+///   [`AnalysisSession::wait_all`] blocks for everything and returns results
+///   in submission order. [`crate::SessionOptions`] adds a deadline and an
+///   in-flight cap; [`AnalysisSession::cancel`] aborts everything that has
+///   not started yet.
 pub struct AnalysisSession {
     shared: Arc<Shared>,
     rx: Receiver<StageOutcome>,
@@ -292,11 +322,13 @@ impl AnalysisSession {
             .result_cache_dir
             .clone()
             .and_then(|dir| crate::eco::StageResultCache::open(dir).ok());
+        let prepare_ahead = engine.config().extract_rs_per_case && worker_target > 1;
         let shared = Arc::new(Shared {
             id,
             state: Mutex::new(State {
                 slots: Vec::new(),
                 ready: VecDeque::new(),
+                prepare: VecDeque::new(),
                 cancelled: false,
                 deadline_fired: false,
                 shutdown: false,
@@ -310,6 +342,7 @@ impl AnalysisSession {
             result_cache,
             simulated: AtomicU64::new(0),
             result_hits: AtomicU64::new(0),
+            prepare_ahead,
         });
         AnalysisSession {
             shared,
@@ -789,8 +822,43 @@ fn fill(st: &mut State, shared: &Shared, index: usize, stage: Stage, deps: Vec<u
         st.ready.push_back(index);
         shared.work.notify_one();
     } else {
+        // A dependency that already started its backend analysis makes the
+        // stage preparable on submit.
+        let preparable = deps.iter().any(|&d| st.slots[d].started) && stage.wants_preparing();
         st.slots[index].phase = Phase::Waiting { stage, unmet };
+        if preparable {
+            st.prepare.push_back(index);
+            shared.work.notify_one();
+        }
     }
+}
+
+/// Records that slot `index` started its backend analysis and queues its
+/// waiting dependents that want preparing for the next idle worker.
+fn record_started(st: &mut State, work: &Condvar, index: usize) {
+    let State { slots, prepare, .. } = st;
+    slots[index].started = true;
+    let queued = prepare.len();
+    for &w in &slots[index].waiters {
+        if matches!(&slots[w].phase, Phase::Waiting { stage, .. } if stage.wants_preparing()) {
+            prepare.push_back(w);
+        }
+    }
+    if prepare.len() > queued {
+        work.notify_one();
+    }
+}
+
+/// Pops the next stage to prepare: one still waiting and not yet prepared,
+/// cloned so the caller can prepare it without holding the session lock.
+fn next_to_prepare(st: &mut State) -> Option<Stage> {
+    while let Some(i) = st.prepare.pop_front() {
+        match &st.slots[i].phase {
+            Phase::Waiting { stage, .. } if stage.wants_preparing() => return Some(stage.clone()),
+            _ => {}
+        }
+    }
+    None
 }
 
 /// Marks slot `index` done with `result`, streams the outcome, and walks the
@@ -900,13 +968,28 @@ fn worker_loop(shared: &Shared) {
                 if let Some(i) = st.ready.pop_front() {
                     match std::mem::replace(&mut st.slots[i].phase, Phase::Running) {
                         Phase::Queued { stage } => {
-                            break (i, stage, std::mem::take(&mut st.slots[i].lints))
+                            // Without a result cache there is no lookup to
+                            // miss: the backend analysis starts now.
+                            if shared.prepare_ahead && shared.result_cache.is_none() {
+                                record_started(&mut st, &shared.work, i);
+                            }
+                            break (i, stage, std::mem::take(&mut st.slots[i].lints));
                         }
                         other => {
                             st.slots[i].phase = other;
                             continue;
                         }
                     }
+                }
+                if let Some(stage) = next_to_prepare(&mut st) {
+                    drop(st);
+                    // The result stays in the stage's cell for its own
+                    // analysis to read, error included. A panic leaves the
+                    // cell empty; that analysis then re-runs the extraction
+                    // and reports the panic, so nothing is lost here.
+                    let _ = catch_unwind(AssertUnwindSafe(|| stage.prepared_load()));
+                    st = shared.state.lock().expect("session state");
+                    continue;
                 }
                 st = wait_for_work(shared, st);
             }
@@ -940,6 +1023,10 @@ fn worker_loop(shared: &Shared) {
             }
         }
         shared.simulated.fetch_add(1, Ordering::Relaxed);
+        if shared.prepare_ahead && shared.result_cache.is_some() {
+            let mut st = shared.state.lock().expect("session state");
+            record_started(&mut st, &shared.work, index);
+        }
         // The handoff propagation in resolve_input runs the same simulation
         // code the engine defends with catch_unwind; contain panics here the
         // same way, or a panicking handoff would kill the worker with the

@@ -1,8 +1,9 @@
 //! [`Stage`]: one validated unit of timing analysis — a driver, the load it
 //! drives, the input event, and (optionally) a per-stage backend override.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
+use rlc_ceff::{CeffError, ReducedLoad};
 use rlc_charlib::DriverCell;
 
 use crate::backend::AnalysisBackend;
@@ -172,6 +173,12 @@ impl std::fmt::Debug for BackendChoice {
 /// Dependent stages can only be analyzed through an
 /// [`crate::AnalysisSession`], which resolves the producer's waveform into a
 /// concrete input event before dispatching to a backend.
+///
+/// With per-case Rs extraction ([`crate::EngineConfig::extract_rs_per_case`],
+/// the default), the analytic flow reduces the stage's load and extracts the
+/// driver's on-resistance against it once per stage: every copy a session
+/// resolves from the stage shares the result, and a session computes it
+/// while the stage still waits on its producer.
 #[derive(Debug, Clone)]
 pub struct Stage {
     label: String,
@@ -183,6 +190,9 @@ pub struct Stage {
     after: Vec<StageHandle>,
     backend: Option<BackendChoice>,
     variation: Vec<VariationSpec>,
+    /// The load reduced for the analytic flow and the driver on-resistance
+    /// extracted against its total capacitance ([`Stage::prepared_load`]).
+    prepared: Arc<OnceLock<Result<(ReducedLoad, f64), EngineError>>>,
 }
 
 impl Stage {
@@ -311,6 +321,7 @@ impl Stage {
         sample.load = load;
         sample.variation = Vec::new();
         sample.after = Vec::new();
+        sample.prepared = Arc::default();
         Ok(sample)
     }
 
@@ -337,6 +348,41 @@ impl Stage {
         resolved.resolved = Some(event);
         resolved.input_waveform = waveform;
         resolved
+    }
+
+    /// The stage's load reduced for the analytic flow
+    /// ([`crate::LoadModel::reduce`]) and the driver on-resistance extracted
+    /// against its total capacitance
+    /// ([`DriverCell::on_resistance_for_load`]): what the analytic flow reads
+    /// under per-case Rs extraction.
+    ///
+    /// Both depend on the driver and the load only, never on the input event
+    /// or the engine configuration, so they are computed once and shared by
+    /// every copy of the stage ([`Stage::resolve_input`]); revaluing the
+    /// driver or the load ([`Stage::with_sample`]) starts afresh. A
+    /// concurrent second caller blocks until the first is done instead of
+    /// extracting twice. An error is kept and returned as computing afresh
+    /// would return it; a panic leaves nothing behind, so the next caller
+    /// computes (and panics) again.
+    pub(crate) fn prepared_load(&self) -> Result<(ReducedLoad, f64), EngineError> {
+        self.prepared
+            .get_or_init(|| {
+                let reduced = self.load.reduce()?;
+                let rs = self
+                    .driver
+                    .on_resistance_for_load(reduced.total_capacitance())
+                    .map_err(CeffError::from)?;
+                Ok((reduced, rs))
+            })
+            .clone()
+    }
+
+    /// Whether a session should compute [`Stage::prepared_load`] ahead of
+    /// the stage's own analysis: it runs on the analytic backend and nothing
+    /// has computed it yet.
+    pub(crate) fn wants_preparing(&self) -> bool {
+        matches!(self.backend, None | Some(BackendChoice::Analytic))
+            && self.prepared.get().is_none()
     }
 }
 
@@ -538,6 +584,7 @@ impl StageBuilder {
             after: self.after,
             backend: self.backend,
             variation,
+            prepared: Arc::default(),
         })
     }
 }

@@ -325,3 +325,34 @@ fn malformed_stages_error_instead_of_panicking() {
     assert_eq!(results.iter().filter(|(_, r)| r.is_err()).count(), 1);
     assert!(matches!(results[0].1, Err(EngineError::Unsupported { .. })));
 }
+
+/// A valid lumped load far beyond any driver's reach: its per-case Rs
+/// extraction would reserve a transient trace of ~13 G values. The stage
+/// fails alone with a typed error instead of aborting the process, and the
+/// stage after it completes.
+#[test]
+fn an_unsimulatable_lumped_load_fails_alone() {
+    let cell = Arc::new(synthetic_cell(75.0, 70.0));
+    let engine = TimingEngine::new(EngineConfig {
+        extract_rs_per_case: true,
+        ..EngineConfig::fast_for_tests()
+    });
+    let stage = |label: &str, c: f64| {
+        Stage::builder_shared(cell.clone(), Arc::new(LumpedCapLoad::new(c).unwrap()))
+            .label(label)
+            .input_slew(ps(100.0))
+            .build()
+            .unwrap()
+    };
+    let mut session = engine.session();
+    session.submit(stage("one-microfarad", 1e-6)).unwrap();
+    session.submit(stage("after", ff(200.0))).unwrap();
+    let results = session.wait_all();
+    match &results[0].1 {
+        Err(err @ EngineError::Model { .. }) => {
+            assert!(err.to_string().contains("budget"), "{err}")
+        }
+        other => panic!("expected a typed model error, got {other:?}"),
+    }
+    assert!(results[1].1.is_ok(), "{:?}", results[1].1);
+}

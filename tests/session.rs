@@ -44,14 +44,28 @@ fn line_stage(cell: &Arc<DriverCell>, label: &str) -> rlc_ceff_suite::StageBuild
 
 /// The acceptance criterion: a 4-stage dependent path analyzed through the
 /// session matches manually-chained `analyze` + full-window far-end
-/// propagation calls bit for bit on every per-stage delay, slew and input
-/// crossing, although the session's ramp handoffs stop each propagation at
-/// the far end's last measured crossing. The chain passes through a line, a
-/// branching RLC tree (named sink) and another line.
+/// propagation calls bit for bit on every per-stage delay, slew, input
+/// crossing and driver resistance, although the session's ramp handoffs stop
+/// each propagation at the far end's last measured crossing. The chain passes
+/// through a line, a branching RLC tree (named sink) and another line. It
+/// runs with the cached and the per-case extracted Rs, on one worker and on
+/// two (where idle workers extract a waiting stage's Rs ahead of its input).
 #[test]
 fn chained_session_matches_manual_propagation_bit_for_bit() {
+    for extract_rs_per_case in [false, true] {
+        for threads in [1, 2] {
+            chained_session_matches_manual_propagation(EngineConfig {
+                extract_rs_per_case,
+                threads,
+                ..EngineConfig::fast_for_tests()
+            });
+        }
+    }
+}
+
+fn chained_session_matches_manual_propagation(config: EngineConfig) {
     let cell = Arc::new(synthetic_cell(75.0, 70.0));
-    let engine = fast_engine();
+    let engine = TimingEngine::new(config);
     let far_opts = fast_far_opts();
 
     let trunk = RlcLine::new(40.0, nh(2.0), pf(0.5), mm(2.0));
@@ -121,13 +135,19 @@ fn chained_session_matches_manual_propagation_bit_for_bit() {
     }
     let results = session.wait_all();
     assert_eq!(results.len(), 4);
+    let bits = |report: &StageReport| {
+        let rs = report.analytic.as_ref().unwrap().driver_resistance;
+        [report.delay, report.slew, report.input_t50, rs].map(f64::to_bits)
+    };
     for ((_, outcome), reference) in results.iter().zip(&manual) {
         let report = outcome.as_ref().expect("every chained stage succeeds");
         assert_eq!(
-            [report.delay, report.slew, report.input_t50].map(f64::to_bits),
-            [reference.delay, reference.slew, reference.input_t50].map(f64::to_bits),
-            "{}",
-            report.label
+            bits(report),
+            bits(reference),
+            "{}: extract_rs_per_case {}, threads {}",
+            report.label,
+            engine.config().extract_rs_per_case,
+            engine.config().threads
         );
     }
 }
