@@ -2,38 +2,12 @@
 //! simulate the inverter with `rlc-spice`, and record delay / output
 //! transition into a [`TimingTable`].
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use rlc_numeric::units::{ff, pf, ps};
 use rlc_spice::testbench::{inverter_with_cap_load, InverterSpec, OutputTransition};
 use rlc_spice::transient::{Crossing, TransientAnalysis, TransientOptions, TransientWorkspace};
 
 use crate::table::TimingTable;
 use crate::CharlibError;
-
-/// Process-wide count of full-cell characterizations (grid sweeps) run.
-static CELLS_CHARACTERIZED: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-wide count of single characterization points simulated.
-static POINTS_CHARACTERIZED: AtomicUsize = AtomicUsize::new(0);
-
-/// Number of full grid characterizations this process has run so far.
-///
-/// Monotonic and process-wide, complementing the per-instance
-/// [`crate::Library::characterizations_run`] counter (which CI's cache
-/// warm-start check asserts on): this one aggregates across every library
-/// and direct [`characterize_inverter`] call in the process, for flows that
-/// want a global "did anything simulate?" probe.
-pub fn cells_characterized() -> usize {
-    CELLS_CHARACTERIZED.load(Ordering::Relaxed)
-}
-
-/// Number of characterization-point transients this process has run so far
-/// (tens per cell — the finer-grained companion of
-/// [`cells_characterized`]).
-pub fn points_characterized() -> usize {
-    POINTS_CHARACTERIZED.load(Ordering::Relaxed)
-}
 
 /// Characterization grid and simulation controls.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,7 +148,6 @@ pub fn characterize_point_with(
     transition: OutputTransition,
     workspace: &mut TransientWorkspace,
 ) -> Result<CharacterizedPoint, CharlibError> {
-    POINTS_CHARACTERIZED.fetch_add(1, Ordering::Relaxed);
     let input_delay = ps(20.0);
     let (ckt, nodes) = inverter_with_cap_load(spec, input_slew, input_delay, load, transition);
 
@@ -258,7 +231,6 @@ pub fn characterize_inverter_with(
     workspace: &mut TransientWorkspace,
 ) -> Result<TimingTable, CharlibError> {
     grid.validate()?;
-    CELLS_CHARACTERIZED.fetch_add(1, Ordering::Relaxed);
     let mut delay = Vec::with_capacity(grid.slew_axis.len());
     let mut transition = Vec::with_capacity(grid.slew_axis.len());
     for &slew in &grid.slew_axis {
@@ -306,30 +278,6 @@ mod tests {
         let mut g = CharacterizationGrid::coarse_for_tests();
         g.load_axis = vec![ff(100.0), ff(50.0)];
         assert!(g.validate().is_err());
-    }
-
-    #[test]
-    fn process_wide_counters_track_characterization_work() {
-        let (cells_before, points_before) = (cells_characterized(), points_characterized());
-        let spec = InverterSpec::sized_018(50.0);
-        characterize_point(
-            &spec,
-            ps(100.0),
-            ff(200.0),
-            ps(1.0),
-            OutputTransition::Rising,
-        )
-        .unwrap();
-        // Other tests may characterize concurrently, so assert monotonic
-        // growth by at least this test's own work, not exact counts.
-        assert!(points_characterized() > points_before);
-        let grid = CharacterizationGrid::coarse_for_tests();
-        characterize_inverter(&spec, &grid).unwrap();
-        assert!(cells_characterized() > cells_before);
-        assert!(
-            points_characterized()
-                >= points_before + 1 + grid.slew_axis.len() * grid.load_axis.len()
-        );
     }
 
     #[test]

@@ -139,15 +139,6 @@ impl CscMatrix {
         self.values.iter().fold(0.0, |acc, v| acc.max(v.abs()))
     }
 
-    /// Scales every stored value in place, leaving the sparsity pattern
-    /// untouched. A same-pattern companion to rebuilding the matrix from
-    /// scaled triplets, for sweeps that vary one global factor.
-    pub fn scale_values(&mut self, factor: f64) {
-        for v in self.values.iter_mut() {
-            *v *= factor;
-        }
-    }
-
     /// Maps each triplet of `triplets` to the storage slot it landed in when
     /// this matrix was assembled, so the values can later be refreshed in
     /// place via [`CscMatrix::revalue_from_triplets`] without re-running the
@@ -240,12 +231,6 @@ pub struct SparseLu {
     u_colptr: Vec<usize>,
     u_rows: Vec<usize>,
     u_vals: Vec<f64>,
-    // `u_rows_mapped[p] == pivot_row[u_rows[p]]`: U's pivotal row indices
-    // translated to original row coordinates, so the batched backward solve
-    // can run in place on the forward-solve panel without gathering into
-    // pivotal order first. Rebuilt by `factor`, still valid after
-    // `refactor` (which reuses the pattern and pivot sequence).
-    u_rows_mapped: Vec<usize>,
     // `l_rows_mapped[p] == pinv[l_rows[p]]`: L's original row indices
     // translated to pivotal coordinates for the prepivoted panel solve.
     // Every mapped index is strictly greater than its column's step (those
@@ -254,10 +239,6 @@ pub struct SparseLu {
     l_rows_mapped: Vec<usize>,
     // Reusable solve/factor scratch.
     work: Vec<f64>,
-    // Panel scratch for the batched solve (n * k working panel plus one
-    // k-wide lane buffer); grown on demand, reused across calls.
-    work_many: Vec<f64>,
-    lane_scratch: Vec<f64>,
 }
 
 impl SparseLu {
@@ -416,9 +397,6 @@ impl SparseLu {
             self.u_vals.push(pivot);
             self.u_colptr.push(self.u_rows.len());
         }
-        self.u_rows_mapped.clear();
-        self.u_rows_mapped
-            .extend(self.u_rows.iter().map(|&j| self.pivot_row[j]));
         self.l_rows_mapped.clear();
         self.l_rows_mapped
             .extend(self.l_rows.iter().map(|&i| self.pinv[i]));
@@ -530,79 +508,33 @@ impl SparseLu {
         self.work.iter_mut().for_each(|v| *v = 0.0);
     }
 
-    /// Solves `A X = B` for a panel of `k` right-hand sides at once using
-    /// the stored factors — the batched counterpart of
-    /// [`SparseLu::solve_into`].
-    ///
-    /// The panel layout matches [`crate::LuFactors::solve_many_into`]: an
-    /// `n x k` matrix whose columns are the individual right-hand sides,
-    /// stored row-major (entry `(i, j)` at index `i * k + j`), so the `k`
-    /// lane values of every unknown are contiguous and each factor entry is
-    /// loaded once per panel instead of once per sample.
-    ///
-    /// Per lane, the traversal order of the factor entries is the same as
-    /// [`SparseLu::solve_into`], so each column agrees with an independent
-    /// single-RHS solve to within sign-of-zero differences.
-    ///
-    /// # Panics
-    /// Panics if `b.len()` or `x.len()` is not `n * k`, or if called before
-    /// a successful [`SparseLu::factor`].
-    pub fn solve_many_into(&mut self, b: &[f64], x: &mut [f64], k: usize) {
-        let n = self.n;
-        assert_eq!(b.len(), n * k, "rhs panel must be n * k");
-        assert_eq!(x.len(), n * k, "solution panel must be n * k");
-        if k == 0 {
-            return;
-        }
-        let mut w = std::mem::take(&mut self.work_many);
-        w.resize(n * k, 0.0);
-        w.copy_from_slice(b);
-        self.solve_panel_in_place(&mut w, x, k);
-        self.work_many = w;
-    }
-
-    /// Like [`SparseLu::solve_many_into`], but consumes the right-hand-side
-    /// panel as the forward/backward working buffer (its contents are
-    /// destroyed). This skips the internal panel copy — worthwhile in tight
-    /// time-stepping loops that rebuild the RHS panel every step anyway.
-    ///
-    /// # Panics
-    /// Panics if `b.len()` or `x.len()` is not `n * k`, or if called before
-    /// a successful [`SparseLu::factor`].
-    pub fn solve_many_in_place(&mut self, b: &mut [f64], x: &mut [f64], k: usize) {
-        let n = self.n;
-        assert_eq!(b.len(), n * k, "rhs panel must be n * k");
-        assert_eq!(x.len(), n * k, "solution panel must be n * k");
-        if k == 0 {
-            return;
-        }
-        self.solve_panel_in_place(b, x, k);
-    }
-
     /// Row permutation of the stored factorization: `row_permutation()[i]`
     /// is the pivotal step at which original row `i` was eliminated. A
-    /// caller that assembles right-hand sides through this map can use
-    /// [`SparseLu::solve_many_prepivoted`], the fastest panel-solve path.
+    /// caller that assembles right-hand sides through this map can use the
+    /// panel solve [`SparseLu::solve_many_prepivoted`].
     /// Empty before a successful [`SparseLu::factor`]; stable across
     /// [`SparseLu::refactor`].
     pub fn row_permutation(&self) -> &[usize] {
         &self.pinv
     }
 
-    /// Panel solve for a right-hand side already assembled in *pivotal* row
-    /// coordinates: `b[step * k + lane]` must hold the RHS entry of the
+    /// Solves `A X = B` for a panel of `k` right-hand sides at once, with
+    /// `B` already assembled in *pivotal* row coordinates. Both panels are
+    /// `n x k` and row-major, so the `k` lane values of every unknown are
+    /// contiguous and each factor entry is loaded once per panel instead of
+    /// once per sample: `b[step * k + lane]` must hold the RHS entry of the
     /// original row `pivot_row[step]` (i.e. rows permuted through
     /// [`SparseLu::row_permutation`]). `b` is consumed as the working
     /// buffer; `x` receives the solution in original (unpermuted) column
     /// coordinates, like every other solve.
     ///
-    /// This is the cheapest batched path: the pivot lane of each step is a
-    /// contiguous read (no staging copy), and because forward updates only
-    /// ever touch later pivotal rows and backward updates earlier ones, the
-    /// panel is split instead of aliased. Pivot divisions are applied as a
-    /// precomputed reciprocal multiply, so results can differ from
-    /// [`SparseLu::solve_into`] by about one ulp per entry (far below the
-    /// factorization error); every other operation matches exactly.
+    /// The pivot lane of each step is a contiguous read (no staging copy),
+    /// and because forward updates only ever touch later pivotal rows and
+    /// backward updates earlier ones, the panel is split instead of
+    /// aliased. Pivot divisions are applied as a precomputed reciprocal
+    /// multiply, so results can differ from [`SparseLu::solve_into`] by
+    /// about one ulp per entry (far below the factorization error); every
+    /// other operation matches exactly.
     ///
     /// # Panics
     /// Panics if `b.len()` or `x.len()` is not `n * k`, or if called before
@@ -663,73 +595,6 @@ impl SparseLu {
                 }
             }
         }
-    }
-
-    /// Shared panel-solve core: forward and backward substitution run in
-    /// place on `w` in *original* row coordinates (no gather into pivotal
-    /// order), and each pivotal solution lane is written straight to its
-    /// final slot `x[col_order[step]]` during the backward pass. The
-    /// per-lane arithmetic order matches [`SparseLu::solve_into`] exactly,
-    /// so results stay bit-compatible with independent single-RHS solves.
-    fn solve_panel_in_place(&mut self, w: &mut [f64], x: &mut [f64], k: usize) {
-        let n = self.n;
-        let mut lane = std::mem::take(&mut self.lane_scratch);
-        lane.clear();
-        lane.resize(k, 0.0);
-
-        // Forward solve L Y = P B. The pivot lane is staged through a
-        // k-wide scratch because its row may interleave with the update
-        // targets in `w`; columns with no L entries skip even that.
-        for step in 0..n {
-            let (lo, hi) = (self.l_colptr[step], self.l_colptr[step + 1]);
-            if lo == hi {
-                continue;
-            }
-            let src = self.pivot_row[step] * k;
-            lane.copy_from_slice(&w[src..src + k]);
-            if lane.iter().all(|&v| v == 0.0) {
-                continue;
-            }
-            for p in lo..hi {
-                let row = self.l_rows[p] * k;
-                let lv = self.l_vals[p];
-                for (wl, &y) in w[row..row + k].iter_mut().zip(lane.iter()) {
-                    *wl -= lv * y;
-                }
-            }
-        }
-        // Backward solve U Z = Y, still in original row coordinates: the
-        // running value of pivotal unknown `j` lives at `w[pivot_row[j]]`,
-        // so U's updates land through `u_rows_mapped`, and the finished
-        // lane for pivotal step `step` is the solution of original column
-        // `col_order[step]` — divided straight into its final slot in `x`
-        // and used from there as the update source (`w` and `x` are
-        // disjoint buffers, so no staging copy is needed).
-        for step in (0..n).rev() {
-            let (lo, hi) = (self.u_colptr[step], self.u_colptr[step + 1]);
-            let d = self.u_vals[hi - 1];
-            let src = self.pivot_row[step] * k;
-            let dst = self.col_order[step] * k;
-            let mut all_zero = true;
-            for (xl, &yl) in x[dst..dst + k].iter_mut().zip(w[src..src + k].iter()) {
-                let z = yl / d;
-                all_zero &= z == 0.0;
-                *xl = z;
-            }
-            if all_zero || lo + 1 == hi {
-                continue;
-            }
-            let z = &x[dst..dst + k];
-            for p in lo..hi - 1 {
-                let row = self.u_rows_mapped[p] * k;
-                let uv = self.u_vals[p];
-                for (wl, &zl) in w[row..row + k].iter_mut().zip(z.iter()) {
-                    *wl -= uv * zl;
-                }
-            }
-        }
-
-        self.lane_scratch = lane;
     }
 
     /// Smallest and largest absolute pivot of the stored factorization —
@@ -991,24 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_values_matches_scaled_assembly() {
-        let (triplets, mut a) = random_system(40, 3, 21);
-        let scaled: Vec<(usize, usize, f64)> =
-            triplets.iter().map(|&(r, c, v)| (r, c, 0.35 * v)).collect();
-        let fresh = CscMatrix::from_triplets(40, &scaled);
-        a.scale_values(0.35);
-        assert!(same_pattern(&a, &fresh));
-        for c in 0..40 {
-            for r in 0..40 {
-                assert!(
-                    (a.get(r, c) - fresh.get(r, c)).abs() <= 1e-12 * fresh.get(r, c).abs(),
-                    "({r}, {c})"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn revalue_from_triplets_matches_fresh_assembly() {
         let (triplets, mut a) = random_system(50, 3, 33);
         let map = a.triplet_map(&triplets);
@@ -1038,74 +885,6 @@ mod tests {
     fn triplet_map_rejects_pattern_mismatch() {
         let a = CscMatrix::from_triplets(3, &[(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)]);
         let _ = a.triplet_map(&[(0, 1, 5.0)]);
-    }
-
-    #[test]
-    fn solve_many_into_matches_independent_solves() {
-        for (n, extra, k, seed) in [
-            (5usize, 2usize, 3usize, 41u64),
-            (40, 3, 8, 42),
-            (120, 4, 16, 43),
-        ] {
-            let (_, a) = random_system(n, extra, seed);
-            let mut lu = SparseLu::empty();
-            lu.factor(&a).unwrap();
-
-            let mut unit = crate::splitmix_stream(seed ^ 0xdead_beef);
-            // Interleaved panel: component i of RHS j at b[i * k + j].
-            let b: Vec<f64> = (0..n * k).map(|_| unit() - 0.5).collect();
-            let mut x = vec![0.0; n * k];
-            lu.solve_many_into(&b, &mut x, k);
-
-            let mut single_b = vec![0.0; n];
-            let mut single_x = vec![0.0; n];
-            for lane in 0..k {
-                for i in 0..n {
-                    single_b[i] = b[i * k + lane];
-                }
-                lu.solve_into(&single_b, &mut single_x);
-                for i in 0..n {
-                    assert!(
-                        (x[i * k + lane] - single_x[i]).abs() <= 1e-12,
-                        "n={n} k={k} lane={lane} row={i}: {} vs {}",
-                        x[i * k + lane],
-                        single_x[i]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn solve_many_into_single_lane_equals_solve_into() {
-        let (_, a) = random_system(30, 2, 55);
-        let mut lu = SparseLu::empty();
-        lu.factor(&a).unwrap();
-        let b: Vec<f64> = (0..30).map(|i| (i as f64 * 0.3).sin()).collect();
-        let mut panel = vec![0.0; 30];
-        let mut x = vec![0.0; 30];
-        lu.solve_many_into(&b, &mut panel, 1);
-        lu.solve_into(&b, &mut x);
-        for i in 0..30 {
-            assert!((panel[i] - x[i]).abs() <= 1e-15, "row {i}");
-        }
-    }
-
-    #[test]
-    fn solve_many_in_place_matches_solve_many_into() {
-        for (n, extra, k, seed) in [(40usize, 3usize, 8usize, 17u64), (120, 4, 16, 18)] {
-            let (_, a) = random_system(n, extra, seed);
-            let mut lu = SparseLu::empty();
-            lu.factor(&a).unwrap();
-            let mut unit = crate::splitmix_stream(seed ^ 0x0ddc0ffe);
-            let b: Vec<f64> = (0..n * k).map(|_| unit() - 0.5).collect();
-            let mut expected = vec![0.0; n * k];
-            lu.solve_many_into(&b, &mut expected, k);
-            let mut consumed = b.clone();
-            let mut x = vec![0.0; n * k];
-            lu.solve_many_in_place(&mut consumed, &mut x, k);
-            assert_eq!(x, expected, "n={n} k={k}");
-        }
     }
 
     #[test]

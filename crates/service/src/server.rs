@@ -177,67 +177,47 @@ impl Server {
 
 /// The per-connection request loop.
 fn serve_connection(stream: TcpStream, engine: &TimingEngine, library: &Arc<Mutex<Library>>) {
-    let _ = stream.set_nodelay(true);
-    let mut reader = BufReader::new(stream);
     let mut session: Option<AnalysisSession> = None;
     let mut handles: Vec<StageHandle> = Vec::new();
+    serve_frames(stream, |request| {
+        handle_request(request, engine, library, &mut session, &mut handles)
+    });
+}
 
+/// The frame loop of one client connection, shared by [`Server`] and the
+/// shard coordinator: reads each request frame, decodes it and writes the
+/// responses `handle` returns, until a clean close between frames or a
+/// `Close` request. A frame-layer error that leaves the stream on a frame
+/// boundary is answered with a typed [`Response::Error`] and the loop keeps
+/// serving. An oversized frame is reported (its declared length was
+/// rejected before any allocation), then the connection closes, since the
+/// stream position inside it is unknowable; any other read error closes it
+/// at once.
+pub(crate) fn serve_frames(stream: TcpStream, mut handle: impl FnMut(Request) -> Vec<Response>) {
+    let _ = stream.set_nodelay(true);
+    let mut reader = BufReader::new(stream);
     loop {
-        let payload = match read_frame(&mut reader) {
-            Ok(Some(payload)) => payload,
-            // Clean close between frames: the conversation is over.
+        let request = match read_frame(&mut reader) {
+            Ok(Some(payload)) => Request::decode(&payload),
             Ok(None) => return,
-            Err(e) if is_recoverable(&e) => {
-                if respond(
-                    &mut reader,
-                    &Response::Error {
-                        code: wire_code(&e),
-                        message: e.to_string(),
-                    },
-                )
-                .is_err()
-                {
-                    return;
-                }
-                continue;
+            Err(e) => Err(e),
+        };
+        let (responses, done) = match request {
+            Ok(request) => {
+                let done = matches!(request, Request::Close);
+                (handle(request), done)
             }
-            Err(e @ WireError::Oversized { .. }) => {
-                // Report it (the declared length was rejected before any
-                // allocation), then close: the stream position inside the
-                // oversized frame is unknowable.
-                let _ = respond(
-                    &mut reader,
-                    &Response::Error {
-                        code: wire_code(&e),
-                        message: e.to_string(),
-                    },
-                );
-                return;
+            Err(e) if is_recoverable(&e) || matches!(e, WireError::Oversized { .. }) => {
+                let error = Response::Error {
+                    code: wire_code(&e),
+                    message: e.to_string(),
+                };
+                (vec![error], !is_recoverable(&e))
             }
             Err(_) => return,
         };
-        let request = match Request::decode(&payload) {
-            Ok(request) => request,
-            Err(e) => {
-                if respond(
-                    &mut reader,
-                    &Response::Error {
-                        code: wire_code(&e),
-                        message: e.to_string(),
-                    },
-                )
-                .is_err()
-                {
-                    return;
-                }
-                continue;
-            }
-        };
-
-        let done = matches!(request, Request::Close);
-        let responses = handle_request(request, engine, library, &mut session, &mut handles);
         for response in responses {
-            if respond(&mut reader, &response).is_err() {
+            if write_frame(reader.get_mut(), &response.encode()).is_err() {
                 return;
             }
         }
@@ -245,10 +225,6 @@ fn serve_connection(stream: TcpStream, engine: &TimingEngine, library: &Arc<Mute
             return;
         }
     }
-}
-
-fn respond(reader: &mut BufReader<TcpStream>, response: &Response) -> Result<(), WireError> {
-    write_frame(reader.get_mut(), &response.encode())
 }
 
 /// Handles one decoded request; a `WaitAll` produces two response frames

@@ -341,61 +341,10 @@ impl Coordinator {
         }
     }
 
-    /// The client-facing request loop (mirrors
-    /// `server::serve_connection`, with stage handling delegated to the
-    /// worker fleet).
+    /// The client-facing request loop: the server's frame loop, with stage
+    /// handling delegated to the worker fleet.
     fn run(mut self, stream: TcpStream) {
-        let _ = stream.set_nodelay(true);
-        let mut reader = BufReader::new(stream);
-        loop {
-            let payload = match read_frame(&mut reader) {
-                Ok(Some(payload)) => payload,
-                Ok(None) => return,
-                Err(e) if crate::wire::is_recoverable(&e) => {
-                    let response = Response::Error {
-                        code: crate::error::wire_code(&e),
-                        message: e.to_string(),
-                    };
-                    if respond(&mut reader, &response).is_err() {
-                        return;
-                    }
-                    continue;
-                }
-                Err(e @ WireError::Oversized { .. }) => {
-                    let _ = respond(
-                        &mut reader,
-                        &Response::Error {
-                            code: crate::error::wire_code(&e),
-                            message: e.to_string(),
-                        },
-                    );
-                    return;
-                }
-                Err(_) => return,
-            };
-            let request = match Request::decode(&payload) {
-                Ok(request) => request,
-                Err(e) => {
-                    let response = Response::Error {
-                        code: crate::error::wire_code(&e),
-                        message: e.to_string(),
-                    };
-                    if respond(&mut reader, &response).is_err() {
-                        return;
-                    }
-                    continue;
-                }
-            };
-            let done = matches!(request, Request::Close);
-            for response in self.handle(request) {
-                if respond(&mut reader, &response).is_err() {
-                    return;
-                }
-            }
-            if done {
-                return;
-            }
-        }
+        crate::server::serve_frames(stream, |request| self.handle(request));
     }
 
     fn handle(&mut self, request: Request) -> Vec<Response> {
@@ -889,10 +838,6 @@ impl Coordinator {
         }
         Response::CancelAck
     }
-}
-
-fn respond(reader: &mut BufReader<TcpStream>, response: &Response) -> Result<(), WireError> {
-    write_frame(reader.get_mut(), &response.encode())
 }
 
 #[cfg(test)]

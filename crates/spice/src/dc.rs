@@ -10,7 +10,7 @@
 use rlc_numeric::{CscMatrix, DenseMatrix, LuFactors, SparseLu};
 
 use crate::circuit::Circuit;
-use crate::mna::MnaSystem;
+use crate::mna::{pivots_healthy, MnaSystem};
 use crate::SpiceError;
 
 /// Options controlling the DC Newton loop.
@@ -34,6 +34,49 @@ impl Default for DcOptions {
             step_limit: 0.5,
         }
     }
+}
+
+impl DcOptions {
+    /// Checks every numeric field; [`dc_operating_point`] calls it first, and
+    /// [`crate::transient::TransientOptions::validate`] checks its Newton
+    /// controls with it. A NaN or negative step limit would make the damped
+    /// update's clamp panic.
+    ///
+    /// # Errors
+    /// [`SpiceError::InvalidOptions`] unless `max_iterations` is at least 1
+    /// and `voltage_tolerance` and `step_limit` are finite and positive.
+    pub fn validate(&self) -> Result<(), SpiceError> {
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        if self.max_iterations > 0 && positive(self.voltage_tolerance) && positive(self.step_limit)
+        {
+            return Ok(());
+        }
+        Err(SpiceError::InvalidOptions(format!(
+            "Newton controls need at least one iteration and a finite, positive tolerance and \
+             step limit: {self:?}"
+        )))
+    }
+}
+
+/// The damped Newton update of the DC and transient Newton loops: moves
+/// each node voltage of `guess` toward the linear solve's `solved`, its
+/// change clamped to `±step_limit` to keep the alpha-power MOSFET
+/// linearization inside its region of validity, and takes the branch
+/// currents from `solved` unclamped. Returns the largest voltage change.
+pub(crate) fn damped_update(
+    guess: &mut [f64],
+    solved: &[f64],
+    n_voltages: usize,
+    step_limit: f64,
+) -> f64 {
+    let mut max_delta: f64 = 0.0;
+    for (g, &s) in guess[..n_voltages].iter_mut().zip(&solved[..n_voltages]) {
+        let delta = (s - *g).clamp(-step_limit, step_limit);
+        max_delta = max_delta.max(delta.abs());
+        *g += delta;
+    }
+    guess[n_voltages..].copy_from_slice(&solved[n_voltages..]);
+    max_delta
 }
 
 /// Solution of a DC operating-point analysis.
@@ -67,10 +110,12 @@ impl DcSolution {
 /// Computes the DC operating point of a circuit.
 ///
 /// # Errors
-/// Returns [`SpiceError::NonConvergence`] if Newton fails, or
-/// [`SpiceError::SingularMatrix`] / [`SpiceError::InvalidCircuit`] for
+/// Returns [`SpiceError::InvalidOptions`] for options that fail
+/// [`DcOptions::validate`], [`SpiceError::NonConvergence`] if Newton fails,
+/// or [`SpiceError::SingularMatrix`] / [`SpiceError::InvalidCircuit`] for
 /// structural problems.
 pub fn dc_operating_point(circuit: &Circuit, options: DcOptions) -> Result<DcSolution, SpiceError> {
+    options.validate()?;
     circuit.validate()?;
     let system = MnaSystem::compile(circuit);
     let (x, iterations) = dc_solve_compiled(&system, circuit, options)?;
@@ -91,15 +136,8 @@ pub(crate) fn dc_solve_compiled(
 ) -> Result<(Vec<f64>, usize), SpiceError> {
     let n = system.num_unknowns();
     let n_voltages = system.num_nodes() - 1;
-
-    // Initial guess: user-provided initial conditions when present, zero
-    // otherwise.
-    let mut x = vec![0.0; n];
-    for (&node, &v) in circuit.initial_conditions() {
-        if let Some(idx) = system.voltage_unknown(node) {
-            x[idx] = v;
-        }
-    }
+    // Initial guess: the initial conditions, zero where there are none.
+    let mut x = system.initial_condition_vector(circuit);
 
     // Linear circuits have no Newton iteration to run — the first solve is
     // exact — so they take one sparse factorization and solve; an unhealthy
@@ -109,7 +147,7 @@ pub(crate) fn dc_solve_compiled(
         system.dc_triplets(&mut triplets);
         let csc = CscMatrix::from_triplets(n, &triplets);
         let mut sparse = SparseLu::empty();
-        if sparse.factor(&csc).is_ok() && sparse.pivot_extremes().0 >= 1e-9 * csc.max_abs() {
+        if sparse.factor(&csc).is_ok() && pivots_healthy(sparse.pivot_extremes().0, csc.max_abs()) {
             let mut rhs = vec![0.0; n];
             system.stamp_dc_rhs(&mut rhs);
             sparse.solve_into(&rhs, &mut x);
@@ -130,23 +168,12 @@ pub(crate) fn dc_solve_compiled(
     for it in 0..options.max_iterations {
         m.copy_from(&static_matrix);
         rhs.copy_from_slice(&static_rhs);
-        system.stamp_mosfets(&mut m, &mut rhs, &x);
+        system.stamp_mosfets(&x, None, |i, j, v| m.add_at(i, j, v), |i, v| rhs[i] += v);
         m.factor_into(&mut lu)
             .map_err(|_| SpiceError::SingularMatrix { time: None })?;
         lu.solve_into(&rhs, &mut x_new);
-
-        let mut max_delta: f64 = 0.0;
-        for k in 0..n_voltages {
-            let delta = (x_new[k] - x[k]).clamp(-options.step_limit, options.step_limit);
-            max_delta = max_delta.max(delta.abs());
-            x[k] += delta;
-        }
-        // Branch currents follow the voltage solution directly once voltages
-        // have settled; take them unclamped.
-        x[n_voltages..n].copy_from_slice(&x_new[n_voltages..n]);
-
-        last_delta = max_delta;
-        if max_delta < options.voltage_tolerance {
+        last_delta = damped_update(&mut x, &x_new, n_voltages, options.step_limit);
+        if last_delta < options.voltage_tolerance {
             return Ok((x, it + 1));
         }
     }

@@ -19,6 +19,21 @@ use crate::source::SourceWaveform;
 /// robustness (floating nodes, capacitor-only nodes in DC).
 pub const GMIN: f64 = 1e-12;
 
+/// Whether a factorization whose smallest pivot is `min_pivot` is healthy
+/// for a matrix whose largest stamp magnitude is `max_stamp`: the pivot must
+/// reach `1e-9 ×` the stamp. A smaller pivot means some unknown is held only
+/// by the [`GMIN`] floor, such as a floating node or a node that only
+/// MOSFETs touch, and solving through it can amplify rounding by 1e9 or
+/// more. The sparse factor-once kernel, the sparse DC solve and the
+/// variation sweep then degrade to dense partial-pivoting LU, whose row
+/// exchanges on the full matrix handle what the sparsity-constrained
+/// pivoting cannot; the split-stamp Newton refactorizes every iteration
+/// instead of applying the Woodbury update, which multiplies by the inverse
+/// of the static factors.
+pub(crate) fn pivots_healthy(min_pivot: f64, max_stamp: f64) -> bool {
+    min_pivot >= 1e-9 * max_stamp
+}
+
 /// Integration scheme used to turn capacitors and inductors into resistive
 /// companion models.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,6 +298,18 @@ impl MnaSystem {
         }
     }
 
+    /// The solution vector holding `circuit`'s initial conditions: the
+    /// voltage of every node that has one, 0 for every other unknown.
+    pub(crate) fn initial_condition_vector(&self, circuit: &Circuit) -> Vec<f64> {
+        let mut x = vec![0.0; self.num_unknowns];
+        for (&node, &v) in circuit.initial_conditions() {
+            if let Some(idx) = self.voltage_unknown(node) {
+                x[idx] = v;
+            }
+        }
+        x
+    }
+
     /// Branch-current unknown of the named voltage source, if any.
     pub fn vsource_branch(&self, name: &str) -> Option<usize> {
         self.vsources
@@ -384,60 +411,22 @@ impl MnaSystem {
     }
 
     /// Stamps every MOSFET linearized about `x_guess` — the per-iteration
-    /// stamps of the split-stamp Newton scheme.
-    pub(crate) fn stamp_mosfets(&self, m: &mut DenseMatrix, rhs: &mut [f64], x_guess: &[f64]) {
-        for f in &self.mosfets {
-            self.stamp_mosfet_core(
-                f,
-                x_guess,
-                None,
-                &mut |i, j, v| m.add_at(i, j, v),
-                &mut |i, v| rhs[i] += v,
-            );
-        }
-    }
-
-    /// [`MnaSystem::stamp_mosfets`] with persistent per-device overdrive
-    /// caches (one entry per compiled MOSFET), so repeated stamps at an
-    /// unchanged gate voltage skip the `powf` evaluations.
-    pub(crate) fn stamp_mosfets_cached(
+    /// stamps of the split-stamp Newton scheme. The sinks receive *unknown
+    /// indices* (ground already skipped), so the same call fills a dense
+    /// matrix and RHS or, through a row map, the low-rank update rows of the
+    /// Woodbury solve. With `caches` (one entry per compiled MOSFET),
+    /// repeated stamps at an unchanged gate voltage skip the `powf`
+    /// evaluations.
+    pub(crate) fn stamp_mosfets(
         &self,
-        m: &mut DenseMatrix,
-        rhs: &mut [f64],
         x_guess: &[f64],
-        caches: &mut [MosfetEvalCache],
+        mut caches: Option<&mut [MosfetEvalCache]>,
+        mut add_m: impl FnMut(usize, usize, f64),
+        mut add_rhs: impl FnMut(usize, f64),
     ) {
-        for (f, cache) in self.mosfets.iter().zip(caches) {
-            self.stamp_mosfet_core(
-                f,
-                x_guess,
-                Some(cache),
-                &mut |i, j, v| m.add_at(i, j, v),
-                &mut |i, v| rhs[i] += v,
-            );
-        }
-    }
-
-    /// Stamps every MOSFET as a *low-rank row update*: matrix entries land in
-    /// `delta` (one row per entry of [`MnaSystem::mosfet_rows`], addressed
-    /// through `row_map`) and RHS entries in `delta_rhs`. This is the `V`/`Δb`
-    /// of the Sherman–Morrison–Woodbury solve in the transient fast path.
-    pub(crate) fn stamp_mosfets_delta(
-        &self,
-        delta: &mut DenseMatrix,
-        delta_rhs: &mut [f64],
-        x_guess: &[f64],
-        row_map: &[usize],
-        caches: &mut [MosfetEvalCache],
-    ) {
-        for (f, cache) in self.mosfets.iter().zip(caches) {
-            self.stamp_mosfet_core(
-                f,
-                x_guess,
-                Some(cache),
-                &mut |i, j, v| delta.add_at(row_map[i], j, v),
-                &mut |i, v| delta_rhs[row_map[i]] += v,
-            );
+        for (k, f) in self.mosfets.iter().enumerate() {
+            let cache = caches.as_deref_mut().map(|c| &mut c[k]);
+            self.stamp_mosfet_core(f, x_guess, cache, &mut add_m, &mut add_rhs);
         }
     }
 
@@ -467,7 +456,12 @@ impl MnaSystem {
         let mut m = DenseMatrix::zeros(n, n);
         let mut rhs = vec![0.0; n];
         self.stamp_dc_static(&mut m, &mut rhs);
-        self.stamp_mosfets(&mut m, &mut rhs, x_guess);
+        self.stamp_mosfets(
+            x_guess,
+            None,
+            |i, j, v| m.add_at(i, j, v),
+            |i, v| rhs[i] += v,
+        );
         (m, rhs)
     }
 
@@ -489,7 +483,12 @@ impl MnaSystem {
         let mut rhs = vec![0.0; self.num_unknowns];
         self.stamp_transient_static(&mut m, h, method);
         self.transient_rhs_into(t, h, method, prev_x, prev_cap_currents, &mut rhs);
-        self.stamp_mosfets(&mut m, &mut rhs, x_guess);
+        self.stamp_mosfets(
+            x_guess,
+            None,
+            |i, j, v| m.add_at(i, j, v),
+            |i, v| rhs[i] += v,
+        );
         (m, rhs)
     }
 
@@ -592,21 +591,6 @@ impl MnaSystem {
         positions.sort_unstable();
         positions.dedup();
         positions.len()
-    }
-
-    /// The unique `(row, col)` positions the transient companion stamp
-    /// touches — independent of step size and integration method. A static
-    /// analysis hook: this is the sparsity pattern every transient
-    /// factorization operates on.
-    pub fn transient_stamp_pattern(&self) -> Vec<(usize, usize)> {
-        let mut positions: Vec<(usize, usize)> = Vec::new();
-        // h = 1.0 is arbitrary: only the stamp *pattern* matters here.
-        self.stamp_transient_matrix_core(1.0, CompanionMethod::BackwardEuler, &mut |i, j, _| {
-            positions.push((i, j))
-        });
-        positions.sort_unstable();
-        positions.dedup();
-        positions
     }
 
     /// The unique `(row, col)` positions the DC stamp touches. This is the
@@ -766,10 +750,8 @@ impl MnaSystem {
         }
     }
 
-    /// Stamps a MOSFET linearized about the guess voltages. The matrix and
-    /// RHS sinks receive *unknown indices* (ground already skipped), so the
-    /// same stamping logic serves the dense matrices of the full-assembly
-    /// kernels and the low-rank delta rows of the Woodbury kernel.
+    /// Stamps a MOSFET linearized about the guess voltages into the sinks of
+    /// [`MnaSystem::stamp_mosfets`].
     fn stamp_mosfet_core<AM: FnMut(usize, usize, f64), AR: FnMut(usize, f64)>(
         &self,
         f: &CompiledMosfet,
@@ -838,7 +820,7 @@ impl MnaSystem {
     }
 
     /// Number of compiled MOSFETs (the length expected of the eval-cache
-    /// slice handed to the cached stamp paths).
+    /// slice handed to [`MnaSystem::stamp_mosfets`]).
     pub(crate) fn num_mosfets(&self) -> usize {
         self.mosfets.len()
     }

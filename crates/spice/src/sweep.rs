@@ -32,9 +32,8 @@
 use rlc_numeric::{CscMatrix, DenseMatrix, Diagnostic, LuFactors, SparseLu};
 
 use crate::circuit::{Circuit, NodeId};
-use crate::dc::{dc_solve_compiled, DcOptions};
-use crate::mna::{CompanionMethod, MnaSystem};
-use crate::transient::{InitialState, TransientOptions};
+use crate::mna::{pivots_healthy, CompanionMethod, MnaSystem};
+use crate::transient::TransientOptions;
 use crate::waveform::Waveform;
 use crate::SpiceError;
 
@@ -296,15 +295,17 @@ impl VariationSweep {
     /// symbolic analysis. Results are ordered exactly like `specs`.
     ///
     /// # Errors
-    /// Returns [`SpiceError::InvalidOptions`] for nonlinear circuits (the
-    /// batched kernel requires LTI samples) or invalid specs, and any
-    /// validation/DC/singular-matrix error the underlying analysis produces.
+    /// Returns [`SpiceError::InvalidOptions`] for options that fail
+    /// [`TransientOptions::validate`], nonlinear circuits (the batched kernel
+    /// requires LTI samples) or invalid specs, and any validation/DC/
+    /// singular-matrix error the underlying analysis produces.
     pub fn run(
         &self,
         circuit: &Circuit,
         probes: &[NodeId],
         specs: &[VariationSpec],
     ) -> Result<SweepResult, SpiceError> {
+        self.options.validate()?;
         circuit.validate()?;
         for spec in specs {
             spec.validate()?;
@@ -339,12 +340,6 @@ impl VariationSweep {
         for step in 1..=n_steps {
             times.push(step as f64 * h);
         }
-
-        let use_ics = match opts.initial_state {
-            InitialState::Auto => !circuit.initial_conditions().is_empty(),
-            InitialState::DcOperatingPoint => false,
-            InitialState::UseInitialConditions => true,
-        };
 
         // Group sample lanes by companion-matrix identity, preserving
         // first-appearance order so results are deterministic.
@@ -392,17 +387,7 @@ impl VariationSweep {
             // its own source factor (valid by linearity: the DC solution and
             // any supply-referenced initial condition are homogeneous in the
             // source vector).
-            let x0 = if use_ics {
-                let mut x0 = vec![0.0; n];
-                for (&node, &v) in circuit.initial_conditions() {
-                    if let Some(idx) = sys.voltage_unknown(node) {
-                        x0[idx] = v;
-                    }
-                }
-                x0
-            } else {
-                dc_solve_compiled(&sys, circuit, DcOptions::default())?.0
-            };
+            let x0 = opts.initial_state.starting_state(&sys, circuit)?;
 
             // Factor this group's companion matrix, preferring the sparse
             // symbolic-reuse path and degrading to dense LU on pivot-health
@@ -417,7 +402,7 @@ impl VariationSweep {
                 pattern_ready = true;
                 sparse.factor(&csc).is_ok()
             };
-            let sparse_ok = factored && sparse.pivot_extremes().0 >= 1e-9 * csc.max_abs();
+            let sparse_ok = factored && pivots_healthy(sparse.pivot_extremes().0, csc.max_abs());
             if !sparse_ok {
                 sys.stamp_transient_static(&mut dense, h, method);
                 dense

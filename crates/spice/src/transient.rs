@@ -2,20 +2,27 @@
 //!
 //! # Kernel strategies
 //!
-//! Under a fixed step the companion-model MNA matrix of a linear (no-MOSFET)
-//! circuit is time-invariant, so every linear circuit is LU-factorized
-//! **once per run** by the fill-reducing [`SparseLu`], and each time step
-//! only rebuilds the right-hand side from the source waveforms and the
-//! capacitor/inductor history before the triangular solves. Each run factors
-//! afresh, so its waveforms depend on the circuit alone, never on what the
-//! workspace ran before. Nonlinear circuits use a split-stamp Newton loop:
-//! the static (R/L/C/source) stamps are cached once and each iteration
-//! copies the cache and adds only the MOSFET linearizations. All kernels run
-//! out of a reusable [`TransientWorkspace`], so the inner loop performs no
-//! heap allocation. Dense LU serves linear circuits only as the target a
-//! near-singular sparse stamp degrades to, and as the explicit references
-//! ([`KernelStrategy::FactorOnce`], [`KernelStrategy::LegacyFull`]) that
-//! parity tests and benchmarks compare against.
+//! Three time loops run every transient, out of a reusable
+//! [`TransientWorkspace`] so that their inner loops never allocate:
+//!
+//! - **Factor-once**, for linear (no-MOSFET) circuits, whose companion
+//!   matrix is time-invariant under a fixed step: one LU factorization per
+//!   run, then per step only a right-hand-side rebuild from the sources and
+//!   the capacitor/inductor history, and the triangular solves. The
+//!   factorization is chosen before the first step: the fill-reducing
+//!   [`SparseLu`] ([`KernelStrategy::Sparse`], `Auto`'s choice) or dense LU
+//!   ([`KernelStrategy::FactorOnce`]), which a near-singular sparse stamp
+//!   degrades to and the sparse kernel is compared against. Every run
+//!   factors afresh, so its waveforms never depend on what the workspace
+//!   ran before.
+//! - **Split-stamp Newton** ([`KernelStrategy::SplitStamp`], `Auto`'s
+//!   choice for nonlinear circuits): the static (R/L/C/source) stamps are
+//!   cached once, and each iteration linearizes only the MOSFETs and solves
+//!   either by a Sherman–Morrison–Woodbury rank update against the static
+//!   factors or by refactorizing, chosen once per run.
+//! - **Legacy** ([`KernelStrategy::LegacyFull`]): full reassembly and
+//!   refactorization at every Newton iteration, the reference the parity
+//!   tests compare the other two against.
 //!
 //! # Stopping at the last measured crossing
 //!
@@ -46,8 +53,8 @@ use rlc_numeric::interp::crosses_on_step;
 use rlc_numeric::{CscMatrix, DenseMatrix, LuFactors, SparseLu};
 
 use crate::circuit::{Circuit, NodeId};
-use crate::dc::{dc_solve_compiled, DcOptions};
-use crate::mna::{CompanionMethod, MnaSystem};
+use crate::dc::{damped_update, dc_solve_compiled, DcOptions};
+use crate::mna::{pivots_healthy, CompanionMethod, MnaSystem};
 use crate::mosfet::MosfetEvalCache;
 use crate::waveform::Waveform;
 use crate::SpiceError;
@@ -92,6 +99,27 @@ pub enum InitialState {
     DcOperatingPoint,
     /// Use the circuit's initial conditions (unspecified nodes start at 0 V).
     UseInitialConditions,
+}
+
+impl InitialState {
+    /// The starting state of a run of `circuit`, compiled as `system`: its
+    /// initial conditions, or its DC operating point, as the policy says.
+    pub(crate) fn starting_state(
+        self,
+        system: &MnaSystem,
+        circuit: &Circuit,
+    ) -> Result<Vec<f64>, SpiceError> {
+        let use_ics = match self {
+            InitialState::Auto => !circuit.initial_conditions().is_empty(),
+            InitialState::DcOperatingPoint => false,
+            InitialState::UseInitialConditions => true,
+        };
+        if use_ics {
+            Ok(system.initial_condition_vector(circuit))
+        } else {
+            Ok(dc_solve_compiled(system, circuit, DcOptions::default())?.0)
+        }
+    }
 }
 
 /// Which simulation kernel executes the time loop.
@@ -153,20 +181,9 @@ impl TransientOptions {
     /// tolerances.
     ///
     /// # Errors
-    /// Returns [`SpiceError::InvalidOptions`] if `time_step <= 0`,
-    /// `stop_time <= 0` (including NaN), or `stop_time < time_step`.
+    /// As [`TransientOptions::validate`].
     pub fn try_new(time_step: f64, stop_time: f64) -> Result<Self, SpiceError> {
-        if !(time_step > 0.0 && stop_time > 0.0) {
-            return Err(SpiceError::InvalidOptions(format!(
-                "times must be positive: time_step = {time_step:e}, stop_time = {stop_time:e}"
-            )));
-        }
-        if stop_time < time_step {
-            return Err(SpiceError::InvalidOptions(format!(
-                "stop time shorter than one step: stop_time = {stop_time:e}, time_step = {time_step:e}"
-            )));
-        }
-        Ok(TransientOptions {
+        let options = TransientOptions {
             time_step,
             stop_time,
             method: IntegrationMethod::default(),
@@ -175,7 +192,35 @@ impl TransientOptions {
             max_newton_iterations: 100,
             voltage_tolerance: 1e-6,
             step_limit: 1.0,
-        })
+        };
+        options.validate()?;
+        Ok(options)
+    }
+
+    /// Checks every numeric field. [`TransientOptions::try_new`] calls it,
+    /// and so does every run, since the fields are public.
+    ///
+    /// # Errors
+    /// [`SpiceError::InvalidOptions`] unless `time_step` is finite and
+    /// positive, `stop_time` finite and at least one step, and the Newton
+    /// controls valid (at least one iteration, a finite, positive
+    /// `voltage_tolerance` and `step_limit`).
+    pub fn validate(&self) -> Result<(), SpiceError> {
+        let (time_step, stop_time) = (self.time_step, self.stop_time);
+        if !(time_step.is_finite() && time_step > 0.0 && stop_time.is_finite())
+            || stop_time < time_step
+        {
+            return Err(SpiceError::InvalidOptions(format!(
+                "time_step must be finite and positive and stop_time finite and at least \
+                 one step: time_step = {time_step:e}, stop_time = {stop_time:e}"
+            )));
+        }
+        DcOptions {
+            max_iterations: self.max_newton_iterations,
+            voltage_tolerance: self.voltage_tolerance,
+            step_limit: self.step_limit,
+        }
+        .validate()
     }
 
     /// Sets the integration method (builder style).
@@ -198,7 +243,8 @@ impl TransientOptions {
 }
 
 /// Reusable buffers for the transient kernels: the work and cached-static
-/// matrices, the stored LU factorization, the RHS/solution/history vectors.
+/// matrices, the stored LU factorizations, the RHS/solution/history vectors
+/// and the Woodbury update state.
 ///
 /// Creating a workspace is cheap; its value is reuse. Repeated runs — a
 /// characterization grid, the batches issued by an analysis backend — hand
@@ -215,7 +261,6 @@ pub struct TransientWorkspace {
     prev_x: Vec<f64>,
     prev2_x: Vec<f64>,
     guess: Vec<f64>,
-    cap_currents: Vec<f64>,
     cap_ieq: Vec<f64>,
     // Sparse-kernel state: the triplet assembly buffer and the sparse
     // factorization.
@@ -224,8 +269,8 @@ pub struct TransientWorkspace {
     // Per-device overdrive caches for the MOSFET evaluations.
     eval_caches: Vec<MosfetEvalCache>,
     // Woodbury rank-update state: W = A0^{-1} U (one row per update row),
-    // the per-iteration update rows V / Δb, the unknown→update-row map and
-    // the small capacitance-equation system S = I + V W^T.
+    // the step's base solve y = A0^{-1} b, the per-iteration update rows
+    // V / Δb, the unknown→update-row map and the small system S = I + V W^T.
     w_rows: DenseMatrix,
     y_base: Vec<f64>,
     delta: DenseMatrix,
@@ -246,27 +291,25 @@ impl TransientWorkspace {
     // The dense matrices are left alone: only the dense kernels read them,
     // and they size them as they stamp.
     fn prepare(&mut self, n: usize, num_capacitors: usize, num_mosfets: usize) {
-        self.rhs.clear();
-        self.rhs.resize(n, 0.0);
-        self.rhs_base.clear();
-        self.rhs_base.resize(n, 0.0);
-        self.x_new.clear();
-        self.x_new.resize(n, 0.0);
-        self.prev_x.clear();
-        self.prev_x.resize(n, 0.0);
-        self.prev2_x.clear();
-        self.prev2_x.resize(n, 0.0);
-        self.guess.clear();
-        self.guess.resize(n, 0.0);
-        self.cap_currents.clear();
-        self.cap_currents.resize(num_capacitors, 0.0);
-        self.cap_ieq.clear();
-        self.cap_ieq.resize(num_capacitors, 0.0);
+        for (v, len) in [
+            (&mut self.rhs, n),
+            (&mut self.rhs_base, n),
+            (&mut self.x_new, n),
+            (&mut self.prev_x, n),
+            (&mut self.prev2_x, n),
+            (&mut self.guess, n),
+            (&mut self.cap_ieq, num_capacitors),
+        ] {
+            v.clear();
+            v.resize(len, 0.0);
+        }
         self.eval_caches.clear();
         self.eval_caches
             .resize_with(num_mosfets, MosfetEvalCache::default);
     }
 
+    /// Sizes the Woodbury state for the update rows `rows` and fills `W`
+    /// (row `j` is `A0⁻¹ e_rows[j]`) from the static factors in `lu`.
     fn prepare_rank_update(&mut self, n: usize, rows: &[usize]) {
         let r = rows.len();
         self.w_rows.resize_zeroed(r, n);
@@ -277,14 +320,119 @@ impl TransientWorkspace {
         self.delta_rhs.resize(r, 0.0);
         self.row_map.clear();
         self.row_map.resize(n, usize::MAX);
-        for (j, &row) in rows.iter().enumerate() {
-            self.row_map[row] = j;
-        }
         self.s.resize_zeroed(r, r);
         self.s_rhs.clear();
         self.s_rhs.resize(r, 0.0);
         self.s_sol.clear();
         self.s_sol.resize(r, 0.0);
+        for (j, &row) in rows.iter().enumerate() {
+            self.row_map[row] = j;
+            self.rhs.fill(0.0);
+            self.rhs[row] = 1.0;
+            self.lu.solve_into(&self.rhs, &mut self.x_new);
+            self.w_rows.row_mut(j).copy_from_slice(&self.x_new);
+        }
+    }
+
+    /// The Woodbury iteration solve of the split-stamp Newton: with
+    /// `A = A0 + U V` (`U` selecting the MOSFET rows), it solves
+    /// `x = y − Wᵀ (I + V Wᵀ)⁻¹ V y` into `x_new`, where `y = A0⁻¹ b` is the
+    /// step's base solve plus the low-rank RHS correction. The base solve
+    /// `A0⁻¹ rhs_base` is made on the `first` iteration of a step and shared
+    /// by the rest.
+    fn solve_rank_update(
+        &mut self,
+        system: &MnaSystem,
+        t: f64,
+        first: bool,
+    ) -> Result<(), SpiceError> {
+        if first {
+            self.lu.solve_into(&self.rhs_base, &mut self.y_base);
+        }
+        let r = self.delta_rhs.len();
+        self.delta.clear();
+        self.delta_rhs.fill(0.0);
+        let row_map = &self.row_map;
+        system.stamp_mosfets(
+            &self.guess,
+            Some(&mut self.eval_caches),
+            |i, j, v| self.delta.add_at(row_map[i], j, v),
+            |i, v| self.delta_rhs[row_map[i]] += v,
+        );
+        // S = I + V Wᵀ, and the projected RHS c = V y folded from
+        // c = V·(y_base + Σ b_j W_j) = V y_base + (S − I) b.
+        for j in 0..r {
+            let dj = self.delta.row(j);
+            let mut c_j = dot(dj, &self.y_base);
+            for k in 0..r {
+                let v = dot(dj, self.w_rows.row(k));
+                self.s.set(j, k, if j == k { 1.0 + v } else { v });
+                c_j += v * self.delta_rhs[k];
+            }
+            self.s_rhs[j] = c_j;
+        }
+        // det(A) = det(A0)·det(S): a singular S is a genuinely singular
+        // iteration matrix, exactly as in the dense kernels. The r ≤ 2
+        // systems of single-gate stages are solved closed form; larger
+        // panels go through the general factorization.
+        let singular = || SpiceError::SingularMatrix { time: Some(t) };
+        match r {
+            1 => {
+                let s00 = self.s.get(0, 0);
+                if s00.abs() < 1e-300 {
+                    return Err(singular());
+                }
+                self.s_sol[0] = self.s_rhs[0] / s00;
+            }
+            2 => {
+                let (a, b) = (self.s.get(0, 0), self.s.get(0, 1));
+                let (c, d) = (self.s.get(1, 0), self.s.get(1, 1));
+                let det = a * d - b * c;
+                if det.abs() < 1e-300 {
+                    return Err(singular());
+                }
+                self.s_sol[0] = (d * self.s_rhs[0] - b * self.s_rhs[1]) / det;
+                self.s_sol[1] = (a * self.s_rhs[1] - c * self.s_rhs[0]) / det;
+            }
+            _ => {
+                self.s.factor_into(&mut self.s_lu).map_err(|_| singular())?;
+                self.s_lu.solve_into(&self.s_rhs, &mut self.s_sol);
+            }
+        }
+        // x = y − W z = y_base + Σ (b_j − z_j) W_j.
+        self.x_new.copy_from_slice(&self.y_base);
+        for j in 0..r {
+            let w = self.delta_rhs[j] - self.s_sol[j];
+            if w != 0.0 {
+                axpy(w, self.w_rows.row(j), &mut self.x_new);
+            }
+        }
+        Ok(())
+    }
+
+    /// The refactorizing iteration solve of the split-stamp Newton: copy the
+    /// cached static stamps and the step's base RHS, add the MOSFET
+    /// linearizations about `guess`, refactorize and solve into `x_new`. No
+    /// allocation, and no re-stamping of the linear elements.
+    fn solve_refactor(
+        &mut self,
+        system: &MnaSystem,
+        t: f64,
+        _first: bool,
+    ) -> Result<(), SpiceError> {
+        self.matrix.copy_from(&self.static_matrix);
+        self.rhs.copy_from_slice(&self.rhs_base);
+        system.stamp_mosfets(
+            &self.guess,
+            Some(&mut self.eval_caches),
+            |i, j, v| self.matrix.add_at(i, j, v),
+            |i, v| self.rhs[i] += v,
+        );
+        self.matrix
+            .factor_into(&mut self.lu)
+            .map_err(|_| SpiceError::SingularMatrix { time: Some(t) })?;
+        self.lu.solve_into(&self.rhs, &mut self.x_new);
+        Ok(())
     }
 }
 
@@ -503,8 +651,7 @@ impl TransientAnalysis {
     /// Runs the analysis on a circuit with a throwaway workspace.
     ///
     /// # Errors
-    /// Returns a [`SpiceError`] if the circuit is invalid, the Newton loop
-    /// fails to converge at some time point, or the MNA matrix is singular.
+    /// As [`TransientAnalysis::run_with`].
     pub fn run(&self, circuit: &Circuit) -> Result<TransientResult, SpiceError> {
         let mut workspace = TransientWorkspace::new();
         self.run_with(circuit, &mut workspace)
@@ -518,7 +665,8 @@ impl TransientAnalysis {
     /// quiescent prefix as described there.
     ///
     /// # Errors
-    /// Returns a [`SpiceError`] if the circuit is invalid, the requested
+    /// Returns a [`SpiceError`] if the options fail
+    /// [`TransientOptions::validate`], the circuit is invalid, the requested
     /// kernel cannot run it (`FactorOnce` on a nonlinear circuit), the
     /// Newton loop fails to converge, or the MNA matrix is singular.
     /// [`SpiceError::InvalidOptions`] refuses a run whose trace would hold
@@ -572,6 +720,7 @@ impl TransientAnalysis {
         ws: &mut TransientWorkspace,
         crossings: &[Crossing],
     ) -> Result<TransientResult, SpiceError> {
+        self.options.validate()?;
         circuit.validate()?;
         if let Some(c) = crossings
             .iter()
@@ -613,24 +762,7 @@ impl TransientAnalysis {
             explicit => explicit,
         };
 
-        // Starting state.
-        let use_ics = match opts.initial_state {
-            InitialState::Auto => !circuit.initial_conditions().is_empty(),
-            InitialState::DcOperatingPoint => false,
-            InitialState::UseInitialConditions => true,
-        };
-        let x0 = if use_ics {
-            let mut x0 = vec![0.0; n];
-            for (&node, &v) in circuit.initial_conditions() {
-                if let Some(idx) = system.voltage_unknown(node) {
-                    x0[idx] = v;
-                }
-            }
-            x0
-        } else {
-            dc_solve_compiled(&system, circuit, DcOptions::default())?.0
-        };
-
+        let x0 = opts.initial_state.starting_state(&system, circuit)?;
         ws.prepare(n, system.num_capacitors(), system.num_mosfets());
         ws.prev_x.copy_from_slice(&x0);
 
@@ -644,11 +776,13 @@ impl TransientAnalysis {
         out.solutions.extend_from_slice(&x0);
 
         let executed = match strategy {
-            KernelStrategy::FactorOnce => {
-                self.run_factor_once(&system, ws, n_steps, &mut out)?;
-                KernelStrategy::FactorOnce
-            }
-            KernelStrategy::Sparse => self.run_sparse(&system, ws, n_steps, &mut out)?,
+            KernelStrategy::Sparse | KernelStrategy::FactorOnce => self.run_factor_once(
+                &system,
+                ws,
+                n_steps,
+                &mut out,
+                strategy == KernelStrategy::Sparse,
+            )?,
             KernelStrategy::SplitStamp => {
                 self.run_split_stamp(&system, ws, n_steps, &mut out)?;
                 KernelStrategy::SplitStamp
@@ -673,98 +807,94 @@ impl TransientAnalysis {
         })
     }
 
-    /// The LTI fast path: one factorization, then per step a RHS rebuild and
-    /// a back-substitution. Linear circuits need no Newton iteration — the
-    /// first solve is exact.
+    /// The factor-once kernel for linear circuits, which need no Newton
+    /// iteration: the first solve of a step is exact. It factors the
+    /// companion matrix once and runs
+    /// [`TransientAnalysis::factor_once_steps`] over the factorization:
+    /// with `sparse`, a CSC assembly factored by the fill-reducing sparse
+    /// LU, unless that fails or its pivots fail [`pivots_healthy`];
+    /// otherwise the dense partial-pivoting LU, whose row exchanges on the
+    /// full matrix handle what the sparsity-constrained pivoting cannot.
+    /// Returns the kernel that executed.
+    ///
+    /// Every run factors from scratch: replaying the pivot sequence a
+    /// previous run left in the workspace would make the last bits of the
+    /// waveform depend on that run.
     fn run_factor_once(
         &self,
         system: &MnaSystem,
         ws: &mut TransientWorkspace,
         n_steps: usize,
         out: &mut Trace<'_>,
-    ) -> Result<(), SpiceError> {
+        sparse: bool,
+    ) -> Result<KernelStrategy, SpiceError> {
         let opts = &self.options;
-        let method = opts.method.companion();
-        let h = opts.time_step;
-
+        let (h, method) = (opts.time_step, opts.method.companion());
+        if sparse {
+            system.transient_triplets(h, method, &mut ws.triplets);
+            let csc = CscMatrix::from_triplets(system.num_unknowns(), &ws.triplets);
+            if ws.sparse_lu.factor(&csc).is_ok()
+                && pivots_healthy(ws.sparse_lu.pivot_extremes().0, csc.max_abs())
+            {
+                self.factor_once_steps(system, ws, n_steps, out, |ws| {
+                    ws.sparse_lu.solve_into(&ws.rhs, &mut ws.x_new)
+                });
+                return Ok(KernelStrategy::Sparse);
+            }
+        }
         system.stamp_transient_static(&mut ws.static_matrix, h, method);
         ws.static_matrix
             .factor_into(&mut ws.lu)
             .map_err(|_| SpiceError::SingularMatrix { time: Some(h) })?;
-        system.init_cap_ieq(h, method, &ws.prev_x, &mut ws.cap_ieq);
-
-        let first = out.fast_forward(system, h, n_steps, &ws.prev_x, &mut ws.x_new);
-        for step in first..=n_steps {
-            let t = step as f64 * h;
-            system.transient_rhs_fused(t, h, method, &ws.prev_x, &mut ws.cap_ieq, &mut ws.rhs);
-            ws.lu.solve_into(&ws.rhs, &mut ws.x_new);
-            ws.prev_x.copy_from_slice(&ws.x_new);
-            if out.push(system, t, &ws.x_new) {
-                break;
-            }
-        }
-        Ok(())
+        self.factor_once_steps(system, ws, n_steps, out, |ws| {
+            ws.lu.solve_into(&ws.rhs, &mut ws.x_new)
+        });
+        Ok(KernelStrategy::FactorOnce)
     }
 
-    /// The sparse LTI fast path: assemble the companion matrix as CSC, factor
-    /// it once with the fill-reducing sparse LU, then per step rebuild the
-    /// RHS and run the triangular solves over the factor nonzeros.
-    ///
-    /// Every run factors from scratch: replaying the pivot sequence a
-    /// previous run left in the workspace would make the last bits of the
-    /// waveform depend on that run.
-    ///
-    /// Pivot health is gated exactly like the dense Woodbury path gates its
-    /// rank update: when the smallest pivot falls below `1e-9 ×` the largest
-    /// stamp magnitude (or the factorization fails outright), the run
-    /// degrades to the dense [`TransientAnalysis::run_factor_once`] kernel
-    /// instead of back-substituting through a near-singular factorization.
-    /// Returns the kernel that actually executed.
-    fn run_sparse(
+    /// The time loop of the factor-once kernel. It is generic over `solve`,
+    /// which solves `rhs` into `x_new` with the stored factorization, so the
+    /// choice of factorization stays out of the step loop. It fast-forwards
+    /// the quiescent prefix ([`Trace::fast_forward`]); then each step
+    /// rebuilds the RHS, solves, and hands the solution to the stop test.
+    fn factor_once_steps(
         &self,
         system: &MnaSystem,
         ws: &mut TransientWorkspace,
         n_steps: usize,
         out: &mut Trace<'_>,
-    ) -> Result<KernelStrategy, SpiceError> {
+        solve: impl Fn(&mut TransientWorkspace),
+    ) {
         let opts = &self.options;
-        let method = opts.method.companion();
-        let h = opts.time_step;
-        let n = system.num_unknowns();
-
-        system.transient_triplets(h, method, &mut ws.triplets);
-        let csc = CscMatrix::from_triplets(n, &ws.triplets);
-        let healthy = ws.sparse_lu.factor(&csc).is_ok()
-            && ws.sparse_lu.pivot_extremes().0 >= 1e-9 * csc.max_abs();
-        if !healthy {
-            // Near-singular (or unfactorable) sparse stamp: degrade to the
-            // dense partial-pivoting LU, whose row exchanges on the full
-            // matrix handle what the sparsity-constrained pivoting cannot.
-            self.run_factor_once(system, ws, n_steps, out)?;
-            return Ok(KernelStrategy::FactorOnce);
-        }
-
+        let (h, method) = (opts.time_step, opts.method.companion());
         system.init_cap_ieq(h, method, &ws.prev_x, &mut ws.cap_ieq);
         let first = out.fast_forward(system, h, n_steps, &ws.prev_x, &mut ws.x_new);
         for step in first..=n_steps {
             let t = step as f64 * h;
             system.transient_rhs_fused(t, h, method, &ws.prev_x, &mut ws.cap_ieq, &mut ws.rhs);
-            ws.sparse_lu.solve_into(&ws.rhs, &mut ws.x_new);
+            solve(ws);
             ws.prev_x.copy_from_slice(&ws.x_new);
             if out.push(system, t, &ws.x_new) {
                 break;
             }
         }
-        Ok(KernelStrategy::Sparse)
     }
 
-    /// The nonlinear fast kernel. Static (R/L/C/source) stamps are cached
-    /// once; per Newton iteration only the MOSFET linearizations change.
-    /// When the static matrix is well conditioned and the MOSFETs touch few
-    /// rows, the solve uses the Sherman–Morrison–Woodbury identity against
-    /// the *once-factorized* static matrix — no per-iteration factorization
-    /// at all. Otherwise it copies the cached stamps and refactorizes, which
-    /// is still allocation-free.
+    /// The split-stamp Newton kernel, valid for any circuit. The static
+    /// (R/L/C/source) stamps are cached once; per Newton iteration only the
+    /// MOSFET linearizations change. The iteration solve is chosen once per
+    /// run, and [`TransientAnalysis::newton_steps`] runs the time loop over
+    /// it:
+    ///
+    /// - [`TransientWorkspace::solve_rank_update`] uses the
+    ///   Sherman–Morrison–Woodbury identity against the *once-factorized*
+    ///   static matrix: O(r·n²) once per run and O(r·n) per iteration, with
+    ///   no per-iteration factorization. It multiplies by the inverse of the
+    ///   static factors, so it is chosen only when the MOSFETs touch at most
+    ///   half the rows (`r ≤ n/2`) and the static pivots are healthy
+    ///   ([`pivots_healthy`]): a MOSFET-only node would make `A0⁻¹` huge and
+    ///   the update numerically useless.
+    /// - [`TransientWorkspace::solve_refactor`] otherwise.
     fn run_split_stamp(
         &self,
         system: &MnaSystem,
@@ -773,66 +903,54 @@ impl TransientAnalysis {
         out: &mut Trace<'_>,
     ) -> Result<(), SpiceError> {
         let opts = &self.options;
-        let method = opts.method.companion();
-        let h = opts.time_step;
         let n = system.num_unknowns();
-
-        system.stamp_transient_static(&mut ws.static_matrix, h, method);
-
-        // The Woodbury path pays O(r·n²) once and O(r·n) per iteration, but
-        // multiplies by the inverse of the static factors, so it is gated on
-        // the update being genuinely low-rank and on the static pivots being
-        // far from the gmin floor (a mosfet-only node would make A0⁻¹ huge
-        // and the update numerically useless).
+        system.stamp_transient_static(
+            &mut ws.static_matrix,
+            opts.time_step,
+            opts.method.companion(),
+        );
         let rows = system.mosfet_rows();
         let use_rank_update = !rows.is_empty()
             && 2 * rows.len() <= n
             && ws.static_matrix.factor_into(&mut ws.lu).is_ok()
-            && ws.lu.pivot_extremes().0 >= 1e-9 * ws.static_matrix.max_abs();
-        if use_rank_update {
-            self.run_rank_update(system, ws, &rows, n_steps, out)
-        } else {
-            self.run_split_refactor(system, ws, n_steps, out)
+            && pivots_healthy(ws.lu.pivot_extremes().0, ws.static_matrix.max_abs());
+        if !use_rank_update {
+            return self.newton_steps(system, ws, n_steps, out, TransientWorkspace::solve_refactor);
         }
+        ws.prepare_rank_update(n, &rows);
+        self.newton_steps(
+            system,
+            ws,
+            n_steps,
+            out,
+            TransientWorkspace::solve_rank_update,
+        )
     }
 
-    /// Woodbury variant of the split-stamp kernel: with `A = A0 + U V`
-    /// (`U` selecting the MOSFET rows), each iteration solves
-    /// `x = y − Wᵀ (I + V Wᵀ)⁻¹ V y` with `y = A0⁻¹ b` assembled from the
-    /// once-per-step base solve plus the low-rank RHS correction, and
-    /// `Wᵀ = A0⁻¹ U` computed once per run.
-    fn run_rank_update(
+    /// The time loop of the split-stamp Newton kernel, generic over `solve`,
+    /// which solves the system linearized about `guess` into `x_new` (its
+    /// last argument marks the first iteration of a step). Each step
+    /// assembles the companion/source RHS that all its iterations share,
+    /// starts from a predictor, and iterates the damped update
+    /// ([`damped_update`]) until the largest voltage change falls below the
+    /// tolerance.
+    fn newton_steps(
         &self,
         system: &MnaSystem,
         ws: &mut TransientWorkspace,
-        rows: &[usize],
         n_steps: usize,
         out: &mut Trace<'_>,
+        solve: impl Fn(&mut TransientWorkspace, &MnaSystem, f64, bool) -> Result<(), SpiceError>,
     ) -> Result<(), SpiceError> {
         let opts = &self.options;
-        let method = opts.method.companion();
-        let h = opts.time_step;
-        let n = system.num_unknowns();
+        let (h, method) = (opts.time_step, opts.method.companion());
         let n_voltages = system.num_nodes() - 1;
-        let r = rows.len();
 
-        ws.prepare_rank_update(n, rows);
-        // W rows: A0⁻¹ e_i for every MOSFET row i.
-        for (j, &row) in rows.iter().enumerate() {
-            ws.rhs.iter_mut().for_each(|v| *v = 0.0);
-            ws.rhs[row] = 1.0;
-            ws.lu.solve_into(&ws.rhs, &mut ws.x_new);
-            ws.w_rows.row_mut(j).copy_from_slice(&ws.x_new);
-        }
         system.init_cap_ieq(h, method, &ws.prev_x, &mut ws.cap_ieq);
         ws.prev2_x.copy_from_slice(&ws.prev_x);
-
         for step in 1..=n_steps {
             let t = step as f64 * h;
-            // Companion/source RHS and its static solve are shared by every
-            // Newton iteration of this step.
             system.transient_rhs_fused(t, h, method, &ws.prev_x, &mut ws.cap_ieq, &mut ws.rhs_base);
-            ws.lu.solve_into(&ws.rhs_base, &mut ws.y_base);
             // Predictor: start Newton from the linear extrapolation of the
             // two previous solutions, which lands within the convergence
             // tolerance on smooth stretches and saves the confirmation
@@ -842,153 +960,10 @@ impl TransientAnalysis {
             }
             let mut converged = false;
             let mut last_delta = f64::INFINITY;
-            for _ in 0..opts.max_newton_iterations {
-                ws.delta.clear();
-                ws.delta_rhs.iter_mut().for_each(|v| *v = 0.0);
-                system.stamp_mosfets_delta(
-                    &mut ws.delta,
-                    &mut ws.delta_rhs,
-                    &ws.guess,
-                    &ws.row_map,
-                    &mut ws.eval_caches,
-                );
-                // S = I + V Wᵀ, and the projected RHS c = V y folded from
-                // c = V·(y_base + Σ b_j W_j) = V y_base + (S − I) b.
-                for j in 0..r {
-                    let dj = ws.delta.row(j);
-                    let mut c_j = dot(dj, &ws.y_base);
-                    for k in 0..r {
-                        let v = dot(dj, ws.w_rows.row(k));
-                        ws.s.set(j, k, if j == k { 1.0 + v } else { v });
-                        c_j += v * ws.delta_rhs[k];
-                    }
-                    ws.s_rhs[j] = c_j;
-                }
-                // det(A) = det(A0)·det(S): a singular S is a genuinely
-                // singular iteration matrix, exactly as in the dense kernels.
-                // The r ≤ 2 systems of single-gate stages are solved closed
-                // form; larger panels go through the general factorization.
-                match r {
-                    1 => {
-                        let s00 = ws.s.get(0, 0);
-                        if s00.abs() < 1e-300 {
-                            return Err(SpiceError::SingularMatrix { time: Some(t) });
-                        }
-                        ws.s_sol[0] = ws.s_rhs[0] / s00;
-                    }
-                    2 => {
-                        let (a, b) = (ws.s.get(0, 0), ws.s.get(0, 1));
-                        let (c, d) = (ws.s.get(1, 0), ws.s.get(1, 1));
-                        let det = a * d - b * c;
-                        if det.abs() < 1e-300 {
-                            return Err(SpiceError::SingularMatrix { time: Some(t) });
-                        }
-                        ws.s_sol[0] = (d * ws.s_rhs[0] - b * ws.s_rhs[1]) / det;
-                        ws.s_sol[1] = (a * ws.s_rhs[1] - c * ws.s_rhs[0]) / det;
-                    }
-                    _ => {
-                        ws.s.factor_into(&mut ws.s_lu)
-                            .map_err(|_| SpiceError::SingularMatrix { time: Some(t) })?;
-                        ws.s_lu.solve_into(&ws.s_rhs, &mut ws.s_sol);
-                    }
-                }
-                // x = y − W z = y_base + Σ (b_j − z_j) W_j.
-                ws.x_new.copy_from_slice(&ws.y_base);
-                for j in 0..r {
-                    let w = ws.delta_rhs[j] - ws.s_sol[j];
-                    if w != 0.0 {
-                        axpy(w, ws.w_rows.row(j), &mut ws.x_new);
-                    }
-                }
-                let mut max_delta: f64 = 0.0;
-                for k in 0..n {
-                    let mut delta = ws.x_new[k] - ws.guess[k];
-                    if k < n_voltages {
-                        delta = delta.clamp(-opts.step_limit, opts.step_limit);
-                        max_delta = max_delta.max(delta.abs());
-                        ws.guess[k] += delta;
-                    } else {
-                        ws.guess[k] = ws.x_new[k];
-                    }
-                }
-                last_delta = max_delta;
-                if max_delta < opts.voltage_tolerance {
-                    converged = true;
-                    break;
-                }
-            }
-            if !converged {
-                return Err(SpiceError::NonConvergence {
-                    time: Some(t),
-                    iterations: opts.max_newton_iterations,
-                    max_delta: last_delta,
-                });
-            }
-            ws.prev2_x.copy_from_slice(&ws.prev_x);
-            ws.prev_x.copy_from_slice(&ws.guess);
-            if out.push(system, t, &ws.guess) {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Refactorizing variant of the split-stamp kernel: copy the cached
-    /// static stamps, add the MOSFET linearizations and refactorize — no
-    /// allocation, no re-stamping of the linear elements.
-    fn run_split_refactor(
-        &self,
-        system: &MnaSystem,
-        ws: &mut TransientWorkspace,
-        n_steps: usize,
-        out: &mut Trace<'_>,
-    ) -> Result<(), SpiceError> {
-        let opts = &self.options;
-        let method = opts.method.companion();
-        let h = opts.time_step;
-        let n = system.num_unknowns();
-        let n_voltages = system.num_nodes() - 1;
-
-        system.init_cap_ieq(h, method, &ws.prev_x, &mut ws.cap_ieq);
-        ws.prev2_x.copy_from_slice(&ws.prev_x);
-
-        for step in 1..=n_steps {
-            let t = step as f64 * h;
-            // The RHS companion/source terms are shared by every Newton
-            // iteration of this step.
-            system.transient_rhs_fused(t, h, method, &ws.prev_x, &mut ws.cap_ieq, &mut ws.rhs_base);
-            // Predictor start, as in the rank-update kernel.
-            for ((g, &p), &p2) in ws.guess.iter_mut().zip(&ws.prev_x).zip(&ws.prev2_x) {
-                *g = 2.0 * p - p2;
-            }
-            let mut converged = false;
-            let mut last_delta = f64::INFINITY;
-            for _ in 0..opts.max_newton_iterations {
-                ws.matrix.copy_from(&ws.static_matrix);
-                ws.rhs.copy_from_slice(&ws.rhs_base);
-                system.stamp_mosfets_cached(
-                    &mut ws.matrix,
-                    &mut ws.rhs,
-                    &ws.guess,
-                    &mut ws.eval_caches,
-                );
-                ws.matrix
-                    .factor_into(&mut ws.lu)
-                    .map_err(|_| SpiceError::SingularMatrix { time: Some(t) })?;
-                ws.lu.solve_into(&ws.rhs, &mut ws.x_new);
-                let mut max_delta: f64 = 0.0;
-                for k in 0..n {
-                    let mut delta = ws.x_new[k] - ws.guess[k];
-                    if k < n_voltages {
-                        delta = delta.clamp(-opts.step_limit, opts.step_limit);
-                        max_delta = max_delta.max(delta.abs());
-                        ws.guess[k] += delta;
-                    } else {
-                        ws.guess[k] = ws.x_new[k];
-                    }
-                }
-                last_delta = max_delta;
-                if max_delta < opts.voltage_tolerance {
+            for iteration in 0..opts.max_newton_iterations {
+                solve(ws, system, t, iteration == 0)?;
+                last_delta = damped_update(&mut ws.guess, &ws.x_new, n_voltages, opts.step_limit);
+                if last_delta < opts.voltage_tolerance {
                     converged = true;
                     break;
                 }

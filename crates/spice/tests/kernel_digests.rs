@@ -340,24 +340,6 @@ fn kernel_runs_are_pinned_bit_for_bit() {
     assert_eq!(measured, PINS, "digests moved; measured:\n{report}");
 }
 
-/// The sparse factorization of the floating-node ladder fails the
-/// pivot-health gate, so its `Sparse` runs above pin the dense degrade.
-#[test]
-fn floating_node_ladder_degrades_to_dense() {
-    for (name, floating, degraded) in [
-        ("ladder40", false, false),
-        ("ladder40-floating", true, true),
-    ] {
-        let opts = TransientOptions::try_new(ps(1.0), ps(4.0))
-            .unwrap()
-            .with_strategy(KernelStrategy::Sparse);
-        let res = TransientAnalysis::new(opts)
-            .run(&ladder(name, floating).ckt)
-            .unwrap();
-        assert_eq!(res.degraded_to_dense(), degraded, "{name}");
-    }
-}
-
 /// Digest of the DC operating points: raw solution bits and iteration count.
 const DC_PINS: [(&str, u64); 5] = [
     ("inv-dc-start", 0x39ef2821ed834544),
