@@ -26,6 +26,9 @@
 //! the same way the dense kernels gate the Sherman–Morrison–Woodbury update
 //! and degrade to dense LU on near-singular stamps.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::matrix::SolveError;
 
 /// Pivots smaller than this in absolute value are treated as singular — the
@@ -232,7 +235,7 @@ pub struct SparseLu {
     u_rows: Vec<usize>,
     u_vals: Vec<f64>,
     // `l_rows_mapped[p] == pinv[l_rows[p]]`: L's original row indices
-    // translated to pivotal coordinates for the prepivoted panel solve.
+    // translated to pivotal coordinates for the forward solves.
     // Every mapped index is strictly greater than its column's step (those
     // rows are not yet pivoted when the column is formed), which is what
     // lets the forward solve split the panel instead of staging lanes.
@@ -469,6 +472,10 @@ impl SparseLu {
 
     /// Solves `A x = b` using the stored factors; allocation-free.
     ///
+    /// The solve makes two permutation passes: it gathers `b` into pivotal
+    /// order, solves forward through L and backward through U in place,
+    /// and scatters the result through the column order.
+    ///
     /// # Panics
     /// Panics if `b` or `x` do not match the factored dimension, or if called
     /// before a successful [`SparseLu::factor`].
@@ -476,36 +483,35 @@ impl SparseLu {
         let n = self.n;
         assert_eq!(b.len(), n, "rhs dimension mismatch");
         assert_eq!(x.len(), n, "solution dimension mismatch");
-        // Forward solve L y = P b, working in original row coordinates.
-        self.work.copy_from_slice(b);
+        // Gather P b into pivotal order, then forward solve L y = P b with
+        // L's rows in pivotal coordinates.
+        let y = &mut self.work;
+        for (yk, &row) in y.iter_mut().zip(&self.pivot_row) {
+            *yk = b[row];
+        }
         for k in 0..n {
-            let yk = self.work[self.pivot_row[k]];
+            let yk = y[k];
             if yk != 0.0 {
                 for p in self.l_colptr[k]..self.l_colptr[k + 1] {
-                    self.work[self.l_rows[p]] -= self.l_vals[p] * yk;
+                    y[self.l_rows_mapped[p]] -= self.l_vals[p] * yk;
                 }
             }
         }
-        // Gather into pivotal order, then backward solve U z = y.
-        for (xk, &row) in x.iter_mut().zip(&self.pivot_row) {
-            *xk = self.work[row];
-        }
+        // Backward solve U z = y in place.
         for k in (0..n).rev() {
             let (lo, hi) = (self.u_colptr[k], self.u_colptr[k + 1]);
-            let zk = x[k] / self.u_vals[hi - 1];
-            x[k] = zk;
+            let zk = y[k] / self.u_vals[hi - 1];
+            y[k] = zk;
             if zk != 0.0 {
                 for p in lo..hi - 1 {
-                    x[self.u_rows[p]] -= self.u_vals[p] * zk;
+                    y[self.u_rows[p]] -= self.u_vals[p] * zk;
                 }
             }
         }
         // Undo the column permutation: solution[q[k]] = z[k].
-        for (&xk, &col) in x.iter().zip(&self.col_order) {
-            self.work[col] = xk;
+        for (&zk, &col) in y.iter().zip(&self.col_order) {
+            x[col] = zk;
         }
-        x.copy_from_slice(&self.work);
-        self.work.iter_mut().for_each(|v| *v = 0.0);
     }
 
     /// Row permutation of the stored factorization: `row_permutation()[i]`
@@ -619,51 +625,393 @@ impl SparseLu {
 
 /// Greedy minimum-degree ordering on the symmetrized pattern of `a`
 /// (Markowitz-style fill reduction for unsymmetric stamps): repeatedly
-/// eliminate the node of smallest current degree, connecting its neighbours
-/// into a clique. Exact elimination-graph updates — quadratic in the worst
-/// case but linear-ish on the bounded-degree node/branch graphs MNA produces.
+/// eliminate the live node of smallest current degree, ties going to the
+/// smallest index, and connect its neighbours into a clique. The
+/// elimination graph is exact. Each node's neighbours are kept in a sorted
+/// vector, and a heap keyed by (degree, node) yields the next node: entries
+/// left behind by a degree change or an elimination are skipped when
+/// popped. A step costs the merges of its neighbours' lists and a heap
+/// operation per changed degree, not a scan over every live node.
 fn min_degree_order(a: &CscMatrix) -> Vec<usize> {
     let n = a.dim();
-    let mut adj: Vec<std::collections::BTreeSet<usize>> = vec![Default::default(); n];
+    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); n];
     for c in 0..n {
-        for p in a.col_ptr[c]..a.col_ptr[c + 1] {
-            let r = a.row_idx[p];
+        for &r in &a.row_idx[a.col_ptr[c]..a.col_ptr[c + 1]] {
             if r != c {
-                adj[r].insert(c);
-                adj[c].insert(r);
+                adj[r].push(c);
+                adj[c].push(r);
             }
         }
     }
+    for neighbours in adj.iter_mut() {
+        neighbours.sort_unstable();
+        neighbours.dedup();
+    }
+    let mut queue: BinaryHeap<Reverse<(usize, usize)>> = adj
+        .iter()
+        .enumerate()
+        .map(|(v, neighbours)| Reverse((neighbours.len(), v)))
+        .collect();
     let mut eliminated = vec![false; n];
     let mut order = Vec::with_capacity(n);
-    let mut neighbours: Vec<usize> = Vec::new();
-    for _ in 0..n {
-        let v = (0..n)
-            .filter(|&v| !eliminated[v])
-            .min_by_key(|&v| adj[v].len())
-            .expect("one live node remains per step");
+    let mut merged: Vec<usize> = Vec::new();
+    while let Some(Reverse((degree, v))) = queue.pop() {
+        if eliminated[v] || degree != adj[v].len() {
+            continue;
+        }
         eliminated[v] = true;
         order.push(v);
-        neighbours.clear();
-        neighbours.extend(adj[v].iter().copied());
-        for &w in neighbours.iter() {
-            adj[w].remove(&v);
-        }
-        for (i, &w1) in neighbours.iter().enumerate() {
-            for &w2 in neighbours.iter().skip(i + 1) {
-                adj[w1].insert(w2);
-                adj[w2].insert(w1);
+        let clique = std::mem::take(&mut adj[v]);
+        for &w in &clique {
+            merged.clear();
+            merge_excluding(&adj[w], &clique, [v, w], &mut merged);
+            let changed = merged.len() != adj[w].len();
+            std::mem::swap(&mut adj[w], &mut merged);
+            if changed {
+                queue.push(Reverse((adj[w].len(), w)));
             }
         }
-        adj[v].clear();
     }
     order
+}
+
+/// Appends the sorted union of the sorted, duplicate-free lists `a` and
+/// `b` to `out`, leaving out both values of `skip`.
+fn merge_excluding(a: &[usize], b: &[usize], skip: [usize; 2], out: &mut Vec<usize>) {
+    let (mut i, mut j) = (0, 0);
+    loop {
+        let next = match (a.get(i), b.get(j)) {
+            (Some(&x), Some(&y)) if x == y => {
+                i += 1;
+                j += 1;
+                x
+            }
+            (Some(&x), Some(&y)) if x < y => {
+                i += 1;
+                x
+            }
+            (_, Some(&y)) => {
+                j += 1;
+                y
+            }
+            (Some(&x), None) => {
+                i += 1;
+                x
+            }
+            (None, None) => return,
+        };
+        if !skip.contains(&next) {
+            out.push(next);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::DenseMatrix;
+
+    /// The quadratic reference of [`min_degree_order`]: a scan over every
+    /// live node per elimination, with `BTreeSet` adjacency.
+    fn min_degree_order_reference(a: &CscMatrix) -> Vec<usize> {
+        let n = a.dim();
+        let mut adj: Vec<std::collections::BTreeSet<usize>> = vec![Default::default(); n];
+        for c in 0..n {
+            for p in a.col_ptr[c]..a.col_ptr[c + 1] {
+                let r = a.row_idx[p];
+                if r != c {
+                    adj[r].insert(c);
+                    adj[c].insert(r);
+                }
+            }
+        }
+        let mut eliminated = vec![false; n];
+        let mut order = Vec::with_capacity(n);
+        let mut neighbours: Vec<usize> = Vec::new();
+        for _ in 0..n {
+            let v = (0..n)
+                .filter(|&v| !eliminated[v])
+                .min_by_key(|&v| adj[v].len())
+                .expect("one live node remains per step");
+            eliminated[v] = true;
+            order.push(v);
+            neighbours.clear();
+            neighbours.extend(adj[v].iter().copied());
+            for &w in neighbours.iter() {
+                adj[w].remove(&v);
+            }
+            for (i, &w1) in neighbours.iter().enumerate() {
+                for &w2 in neighbours.iter().skip(i + 1) {
+                    adj[w1].insert(w2);
+                    adj[w2].insert(w1);
+                }
+            }
+            adj[v].clear();
+        }
+        order
+    }
+
+    /// The five-pass reference of [`SparseLu::solve_into`]: forward solve in
+    /// original row coordinates, gather, backward solve, scatter, copy back.
+    fn solve_reference(lu: &SparseLu, b: &[f64]) -> Vec<f64> {
+        let n = lu.n;
+        let mut work = b.to_vec();
+        for k in 0..n {
+            let yk = work[lu.pivot_row[k]];
+            if yk != 0.0 {
+                for p in lu.l_colptr[k]..lu.l_colptr[k + 1] {
+                    work[lu.l_rows[p]] -= lu.l_vals[p] * yk;
+                }
+            }
+        }
+        let mut z: Vec<f64> = lu.pivot_row.iter().map(|&row| work[row]).collect();
+        for k in (0..n).rev() {
+            let (lo, hi) = (lu.u_colptr[k], lu.u_colptr[k + 1]);
+            let zk = z[k] / lu.u_vals[hi - 1];
+            z[k] = zk;
+            if zk != 0.0 {
+                for p in lo..hi - 1 {
+                    z[lu.u_rows[p]] -= lu.u_vals[p] * zk;
+                }
+            }
+        }
+        let mut x = vec![0.0; n];
+        for (&zk, &col) in z.iter().zip(&lu.col_order) {
+            x[col] = zk;
+        }
+        x
+    }
+
+    /// An MNA-shaped pattern builder: node voltages first, then one branch
+    /// unknown per voltage source and inductor, stamped the way `rlc-spice`
+    /// stamps them (every value 1.0; only the pattern matters).
+    struct Pattern {
+        nodes: usize,
+        branches: Vec<(usize, usize)>,
+        links: Vec<(usize, usize)>,
+        grounded: Vec<usize>,
+        mutuals: Vec<(usize, usize)>,
+    }
+
+    impl Pattern {
+        fn new(nodes: usize) -> Pattern {
+            Pattern {
+                nodes,
+                branches: Vec::new(),
+                links: Vec::new(),
+                grounded: Vec::new(),
+                mutuals: Vec::new(),
+            }
+        }
+
+        /// A resistor or capacitor between two nodes.
+        fn link(&mut self, a: usize, b: usize) {
+            self.links.push((a, b));
+        }
+
+        /// A capacitor (or conductance) from a node to ground.
+        fn ground(&mut self, a: usize) {
+            self.grounded.push(a);
+        }
+
+        /// An inductor or voltage source between two nodes (`usize::MAX` is
+        /// ground): returns its branch index.
+        fn branch(&mut self, a: usize, b: usize) -> usize {
+            self.branches.push((a, b));
+            self.branches.len() - 1
+        }
+
+        fn matrix(&self) -> CscMatrix {
+            let n = self.nodes + self.branches.len();
+            let mut t = Vec::new();
+            for v in 0..self.nodes {
+                t.push((v, v, 1.0));
+            }
+            for &v in &self.grounded {
+                t.push((v, v, 1.0));
+            }
+            for &(a, b) in &self.links {
+                t.extend([(a, a, 1.0), (b, b, 1.0), (a, b, 1.0), (b, a, 1.0)]);
+            }
+            for (k, &(a, b)) in self.branches.iter().enumerate() {
+                let row = self.nodes + k;
+                for node in [a, b] {
+                    if node != usize::MAX {
+                        t.extend([(node, row, 1.0), (row, node, 1.0)]);
+                    }
+                }
+            }
+            for &(j, k) in &self.mutuals {
+                let (rj, rk) = (self.nodes + j, self.nodes + k);
+                t.extend([(rj, rk, 1.0), (rk, rj, 1.0)]);
+            }
+            CscMatrix::from_triplets(n, &t)
+        }
+    }
+
+    /// A driven RLC ladder: a source branch at node 0, then per segment a
+    /// resistor, an inductor branch and a grounded capacitor.
+    fn ladder(pattern: &mut Pattern, from: usize, segments: usize) -> Vec<usize> {
+        let mut inductors = Vec::new();
+        let mut node = from;
+        for _ in 0..segments {
+            let mid = pattern.nodes;
+            let next = mid + 1;
+            pattern.nodes += 2;
+            pattern.link(node, mid);
+            inductors.push(pattern.branch(mid, next));
+            pattern.ground(next);
+            node = next;
+        }
+        inductors
+    }
+
+    fn mna_ladder(segments: usize) -> CscMatrix {
+        let mut p = Pattern::new(1);
+        p.branch(0, usize::MAX);
+        ladder(&mut p, 0, segments);
+        p.matrix()
+    }
+
+    fn mna_tree(depth: usize) -> CscMatrix {
+        let mut p = Pattern::new(1);
+        p.branch(0, usize::MAX);
+        let mut tips = vec![0];
+        for level in 0..depth {
+            let mut next = Vec::new();
+            for &tip in &tips {
+                for _ in 0..2 {
+                    ladder(&mut p, tip, 1 + level % 3);
+                    next.push(p.nodes - 1);
+                }
+            }
+            tips = next;
+        }
+        p.matrix()
+    }
+
+    fn mna_coupled_bus(segments: usize) -> CscMatrix {
+        let mut p = Pattern::new(2);
+        p.branch(0, usize::MAX);
+        p.branch(1, usize::MAX);
+        let victim = ladder(&mut p, 0, segments);
+        let first_aggressor_node = p.nodes;
+        let aggressor = ladder(&mut p, 1, segments);
+        for (k, (&v, &a)) in victim.iter().zip(&aggressor).enumerate() {
+            p.mutuals.push((v, a));
+            // Coupling capacitance between matching far nodes.
+            p.link(2 + 2 * k + 1, first_aggressor_node + 2 * k + 1);
+        }
+        p.matrix()
+    }
+
+    fn mna_floating_nodes(segments: usize) -> CscMatrix {
+        let mut p = Pattern::new(1);
+        p.branch(0, usize::MAX);
+        ladder(&mut p, 0, segments);
+        // A node held only by its gmin floor, and a pair of nodes coupled to
+        // each other by a capacitor but to nothing else.
+        p.nodes += 3;
+        let lone = p.nodes - 3;
+        p.link(lone + 1, lone + 2);
+        p.matrix()
+    }
+
+    fn random_pattern(n: usize, density: f64, seed: u64) -> CscMatrix {
+        let mut unit = crate::splitmix_stream(seed);
+        let mut triplets = Vec::new();
+        for c in 0..n {
+            if unit() < 0.8 {
+                triplets.push((c, c, 1.0));
+            }
+            for r in 0..n {
+                if r != c && unit() < density {
+                    triplets.push((r, c, 1.0));
+                }
+            }
+        }
+        CscMatrix::from_triplets(n, &triplets)
+    }
+
+    #[test]
+    fn min_degree_order_matches_the_quadratic_reference() {
+        let mut cases: Vec<(String, CscMatrix)> = vec![
+            ("empty".into(), CscMatrix::from_triplets(0, &[])),
+            (
+                "one node".into(),
+                CscMatrix::from_triplets(1, &[(0, 0, 1.0)]),
+            ),
+        ];
+        for segments in [1, 5, 40, 64] {
+            cases.push((format!("ladder {segments}"), mna_ladder(segments)));
+            cases.push((format!("bus {segments}"), mna_coupled_bus(segments)));
+            cases.push((format!("floating {segments}"), mna_floating_nodes(segments)));
+        }
+        for depth in [1, 3, 5] {
+            cases.push((format!("tree depth {depth}"), mna_tree(depth)));
+        }
+        for seed in 0..40u64 {
+            let n = 1 + (seed as usize * 7) % 90;
+            let density = [0.01, 0.05, 0.15, 0.4][seed as usize % 4];
+            cases.push((
+                format!("random seed {seed}"),
+                random_pattern(n, density, seed),
+            ));
+        }
+        for (name, a) in &cases {
+            assert_eq!(
+                min_degree_order(a),
+                min_degree_order_reference(a),
+                "{name}: the orders differ"
+            );
+        }
+    }
+
+    #[test]
+    fn solve_into_matches_the_five_pass_reference_bit_for_bit() {
+        let mut matrices: Vec<CscMatrix> = (0..12u64)
+            .map(|seed| random_system(5 + 11 * seed as usize, 1 + seed as usize % 4, seed).1)
+            .collect();
+        for a in [mna_ladder(40), mna_coupled_bus(10), mna_tree(3)] {
+            // Unit values make the MNA patterns singular; give them a
+            // dominant diagonal and asymmetric off-diagonals.
+            let n = a.dim();
+            let mut unit = crate::splitmix_stream(n as u64);
+            let mut triplets = Vec::new();
+            for c in 0..n {
+                triplets.push((c, c, 4.0 + unit()));
+                for p in a.col_ptr[c]..a.col_ptr[c + 1] {
+                    if a.row_idx[p] != c {
+                        triplets.push((a.row_idx[p], c, unit() - 0.5));
+                    }
+                }
+            }
+            matrices.push(CscMatrix::from_triplets(n, &triplets));
+        }
+        for a in &matrices {
+            let n = a.dim();
+            let mut lu = SparseLu::empty();
+            lu.factor(a).unwrap();
+            let mut unit = crate::splitmix_stream(n as u64 ^ 0x5eed);
+            for round in 0..3 {
+                // Exact zeros in the RHS exercise the skipped updates.
+                let b: Vec<f64> = (0..n)
+                    .map(|k| {
+                        if (k + round) % 3 == 0 {
+                            0.0
+                        } else {
+                            unit() - 0.5
+                        }
+                    })
+                    .collect();
+                let mut x = vec![f64::NAN; n];
+                lu.solve_into(&b, &mut x);
+                let expected = solve_reference(&lu, &b);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&x), bits(&expected), "n = {n}, round {round}");
+            }
+        }
+    }
 
     /// A pseudo-random sparse system with a dense-solver cross-check.
     fn random_system(

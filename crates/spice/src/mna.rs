@@ -14,6 +14,7 @@ use crate::mosfet::{
     eval_alpha_power, eval_alpha_power_cached, MosfetEvalCache, MosfetParams, MosfetType,
 };
 use crate::source::SourceWaveform;
+use crate::transient::IntegrationMethod;
 
 /// Minimum conductance added from every node to ground for numerical
 /// robustness (floating nodes, capacitor-only nodes in DC).
@@ -32,16 +33,6 @@ pub const GMIN: f64 = 1e-12;
 /// of the static factors.
 pub(crate) fn pivots_healthy(min_pivot: f64, max_stamp: f64) -> bool {
     min_pivot >= 1e-9 * max_stamp
-}
-
-/// Integration scheme used to turn capacitors and inductors into resistive
-/// companion models.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompanionMethod {
-    /// Backward Euler: L-stable, slightly dissipative (damps LC ringing).
-    BackwardEuler,
-    /// Trapezoidal: energy-preserving, the default for waveform accuracy.
-    Trapezoidal,
 }
 
 /// A compiled resistor.
@@ -447,24 +438,6 @@ impl MnaSystem {
         rows
     }
 
-    /// Assembles the DC operating-point system linearized about `x_guess`.
-    ///
-    /// Capacitors are open circuits; inductors become 0 V constraints through
-    /// their branch equations; sources take their `t = 0` values.
-    pub fn assemble_dc(&self, x_guess: &[f64]) -> (DenseMatrix, Vec<f64>) {
-        let n = self.num_unknowns;
-        let mut m = DenseMatrix::zeros(n, n);
-        let mut rhs = vec![0.0; n];
-        self.stamp_dc_static(&mut m, &mut rhs);
-        self.stamp_mosfets(
-            x_guess,
-            None,
-            |i, j, v| m.add_at(i, j, v),
-            |i, v| rhs[i] += v,
-        );
-        (m, rhs)
-    }
-
     /// Assembles the transient system at time `t` for step size `h`,
     /// linearized about `x_guess`, given the previous accepted solution
     /// `prev_x` and the previous capacitor currents `prev_cap_currents`
@@ -474,7 +447,7 @@ impl MnaSystem {
         &self,
         t: f64,
         h: f64,
-        method: CompanionMethod,
+        method: IntegrationMethod,
         x_guess: &[f64],
         prev_x: &[f64],
         prev_cap_currents: &[f64],
@@ -504,7 +477,7 @@ impl MnaSystem {
         &self,
         m: &mut DenseMatrix,
         h: f64,
-        method: CompanionMethod,
+        method: IntegrationMethod,
     ) {
         m.resize_zeroed(self.num_unknowns, self.num_unknowns);
         self.stamp_transient_matrix_core(h, method, &mut |i, j, v| m.add_at(i, j, v));
@@ -517,7 +490,7 @@ impl MnaSystem {
     pub(crate) fn stamp_transient_matrix_core<AM: FnMut(usize, usize, f64)>(
         &self,
         h: f64,
-        method: CompanionMethod,
+        method: IntegrationMethod,
         add_m: &mut AM,
     ) {
         for k in 0..(self.num_nodes - 1) {
@@ -528,15 +501,15 @@ impl MnaSystem {
         }
         for c in &self.capacitors {
             let g = match method {
-                CompanionMethod::BackwardEuler => c.farads / h,
-                CompanionMethod::Trapezoidal => 2.0 * c.farads / h,
+                IntegrationMethod::BackwardEuler => c.farads / h,
+                IntegrationMethod::Trapezoidal => 2.0 * c.farads / h,
             };
             self.stamp_conductance_with(add_m, c.a, c.b, g);
         }
         for l in &self.inductors {
             let z = match method {
-                CompanionMethod::BackwardEuler => l.henries / h,
-                CompanionMethod::Trapezoidal => 2.0 * l.henries / h,
+                IntegrationMethod::BackwardEuler => l.henries / h,
+                IntegrationMethod::Trapezoidal => 2.0 * l.henries / h,
             };
             // KCL columns and branch voltage row.
             self.stamp_branch_voltage_rows_with(add_m, l.a, l.b, l.branch);
@@ -547,8 +520,8 @@ impl MnaSystem {
             // Coupled branch equations gain the off-diagonal companion
             // impedance: Va - Vb - z*i - z_m*i_other = rhs_val.
             let z_m = match method {
-                CompanionMethod::BackwardEuler => k.henries / h,
-                CompanionMethod::Trapezoidal => 2.0 * k.henries / h,
+                IntegrationMethod::BackwardEuler => k.henries / h,
+                IntegrationMethod::Trapezoidal => 2.0 * k.henries / h,
             };
             add_m(k.branch_a, k.branch_b, -z_m);
             add_m(k.branch_b, k.branch_a, -z_m);
@@ -563,7 +536,7 @@ impl MnaSystem {
     pub(crate) fn transient_triplets(
         &self,
         h: f64,
-        method: CompanionMethod,
+        method: IntegrationMethod,
         out: &mut Vec<(usize, usize, f64)>,
     ) {
         out.clear();
@@ -585,7 +558,7 @@ impl MnaSystem {
     pub fn stamp_nnz(&self) -> usize {
         let mut positions: Vec<(usize, usize)> = Vec::new();
         // h = 1.0 is arbitrary: only the stamp *pattern* matters here.
-        self.stamp_transient_matrix_core(1.0, CompanionMethod::BackwardEuler, &mut |i, j, _| {
+        self.stamp_transient_matrix_core(1.0, IntegrationMethod::BackwardEuler, &mut |i, j, _| {
             positions.push((i, j))
         });
         positions.sort_unstable();
@@ -616,7 +589,7 @@ impl MnaSystem {
         &self,
         t: f64,
         h: f64,
-        method: CompanionMethod,
+        method: IntegrationMethod,
         prev_x: &[f64],
         prev_cap_currents: &[f64],
         rhs: &mut [f64],
@@ -625,8 +598,8 @@ impl MnaSystem {
         for (idx, c) in self.capacitors.iter().enumerate() {
             let v_prev = self.node_voltage(prev_x, c.a) - self.node_voltage(prev_x, c.b);
             let ieq = match method {
-                CompanionMethod::BackwardEuler => c.farads / h * v_prev,
-                CompanionMethod::Trapezoidal => {
+                IntegrationMethod::BackwardEuler => c.farads / h * v_prev,
+                IntegrationMethod::Trapezoidal => {
                     2.0 * c.farads / h * v_prev + prev_cap_currents[idx]
                 }
             };
@@ -643,14 +616,14 @@ impl MnaSystem {
     pub(crate) fn init_cap_ieq(
         &self,
         h: f64,
-        method: CompanionMethod,
+        method: IntegrationMethod,
         x0: &[f64],
         cap_ieq: &mut [f64],
     ) {
         for (state, c) in cap_ieq.iter_mut().zip(&self.capacitors) {
             let g = match method {
-                CompanionMethod::BackwardEuler => c.farads / h,
-                CompanionMethod::Trapezoidal => 2.0 * c.farads / h,
+                IntegrationMethod::BackwardEuler => c.farads / h,
+                IntegrationMethod::Trapezoidal => 2.0 * c.farads / h,
             };
             let v0 = self.node_voltage(x0, c.a) - self.node_voltage(x0, c.b);
             *state = g * v0;
@@ -668,21 +641,21 @@ impl MnaSystem {
         &self,
         t: f64,
         h: f64,
-        method: CompanionMethod,
+        method: IntegrationMethod,
         prev_x: &[f64],
         cap_ieq: &mut [f64],
         rhs: &mut [f64],
     ) {
         rhs.iter_mut().for_each(|v| *v = 0.0);
         match method {
-            CompanionMethod::BackwardEuler => {
+            IntegrationMethod::BackwardEuler => {
                 for c in &self.capacitors {
                     let v_prev = self.node_voltage(prev_x, c.a) - self.node_voltage(prev_x, c.b);
                     let ieq = c.farads / h * v_prev;
                     self.stamp_current_injection(rhs, c.a, c.b, ieq);
                 }
             }
-            CompanionMethod::Trapezoidal => {
+            IntegrationMethod::Trapezoidal => {
                 for (state, c) in cap_ieq.iter_mut().zip(&self.capacitors) {
                     let g2 = 2.0 * (2.0 * c.farads / h);
                     let v_prev = self.node_voltage(prev_x, c.a) - self.node_voltage(prev_x, c.b);
@@ -701,7 +674,7 @@ impl MnaSystem {
         &self,
         t: f64,
         h: f64,
-        method: CompanionMethod,
+        method: IntegrationMethod,
         prev_x: &[f64],
         rhs: &mut [f64],
     ) {
@@ -709,16 +682,16 @@ impl MnaSystem {
             let i_prev = prev_x[l.branch];
             let v_prev = self.node_voltage(prev_x, l.a) - self.node_voltage(prev_x, l.b);
             rhs[l.branch] = match method {
-                CompanionMethod::BackwardEuler => -(l.henries / h) * i_prev,
-                CompanionMethod::Trapezoidal => -(2.0 * l.henries / h) * i_prev - v_prev,
+                IntegrationMethod::BackwardEuler => -(l.henries / h) * i_prev,
+                IntegrationMethod::Trapezoidal => -(2.0 * l.henries / h) * i_prev - v_prev,
             };
         }
         for k in &self.mutuals {
             // History of the coupled branch current (the v_prev part of the
             // trapezoidal companion is already carried by the self terms).
             let z_m = match method {
-                CompanionMethod::BackwardEuler => k.henries / h,
-                CompanionMethod::Trapezoidal => 2.0 * k.henries / h,
+                IntegrationMethod::BackwardEuler => k.henries / h,
+                IntegrationMethod::Trapezoidal => 2.0 * k.henries / h,
             };
             rhs[k.branch_a] -= z_m * prev_x[k.branch_b];
             rhs[k.branch_b] -= z_m * prev_x[k.branch_a];
@@ -830,7 +803,7 @@ impl MnaSystem {
     pub fn update_capacitor_currents(
         &self,
         h: f64,
-        method: CompanionMethod,
+        method: IntegrationMethod,
         x_new: &[f64],
         prev_x: &[f64],
         prev_cap_currents: &mut [f64],
@@ -839,8 +812,8 @@ impl MnaSystem {
             let v_new = self.node_voltage(x_new, c.a) - self.node_voltage(x_new, c.b);
             let v_prev = self.node_voltage(prev_x, c.a) - self.node_voltage(prev_x, c.b);
             prev_cap_currents[idx] = match method {
-                CompanionMethod::BackwardEuler => c.farads / h * (v_new - v_prev),
-                CompanionMethod::Trapezoidal => {
+                IntegrationMethod::BackwardEuler => c.farads / h * (v_new - v_prev),
+                IntegrationMethod::Trapezoidal => {
                     2.0 * c.farads / h * (v_new - v_prev) - prev_cap_currents[idx]
                 }
             };
@@ -894,6 +867,7 @@ fn stamp_injection_with<AR: FnMut(usize, f64)>(
 mod tests {
     use super::*;
     use crate::circuit::Circuit;
+    use crate::dc::{dc_operating_point, DcOptions};
     use crate::source::SourceWaveform;
 
     #[test]
@@ -930,7 +904,7 @@ mod tests {
         assert_eq!(ckt.stamp_nnz(), 6);
         // Triplets cover the same positions (with duplicates pre-merge).
         let mut triplets = Vec::new();
-        sys.transient_triplets(1e-12, CompanionMethod::Trapezoidal, &mut triplets);
+        sys.transient_triplets(1e-12, IntegrationMethod::Trapezoidal, &mut triplets);
         let mut positions: Vec<(usize, usize)> = triplets.iter().map(|&(i, j, _)| (i, j)).collect();
         positions.sort_unstable();
         positions.dedup();
@@ -954,7 +928,10 @@ mod tests {
         ckt.add_capacitor("C1", c, Circuit::GROUND, 1e-12);
         let sys = MnaSystem::compile(&ckt);
         let n = sys.num_unknowns();
-        for method in [CompanionMethod::BackwardEuler, CompanionMethod::Trapezoidal] {
+        for method in [
+            IntegrationMethod::BackwardEuler,
+            IntegrationMethod::Trapezoidal,
+        ] {
             let h = 5e-13;
             let mut dense = DenseMatrix::zeros(n, n);
             sys.stamp_transient_static(&mut dense, h, method);
@@ -989,6 +966,8 @@ mod tests {
         assert_eq!(sys.num_capacitors(), 3); // Cgs, Cgd, Cdb
     }
 
+    // The DC stamps, checked through the operating-point solve that
+    // assembles them.
     #[test]
     fn dc_voltage_divider_assembles_correctly() {
         let mut ckt = Circuit::new();
@@ -997,14 +976,11 @@ mod tests {
         ckt.add_vsource("V1", a, Circuit::GROUND, SourceWaveform::dc(2.0));
         ckt.add_resistor("R1", a, b, 1000.0);
         ckt.add_resistor("R2", b, Circuit::GROUND, 1000.0);
-        let sys = MnaSystem::compile(&ckt);
-        let x0 = vec![0.0; sys.num_unknowns()];
-        let (m, rhs) = sys.assemble_dc(&x0);
-        let x = m.solve(&rhs).unwrap();
-        let vb = sys.node_voltage(&x, b.index());
+        let dc = dc_operating_point(&ckt, DcOptions::default()).unwrap();
+        let vb = dc.voltage(b);
         assert!((vb - 1.0).abs() < 1e-6);
         // Source branch current: current into the + terminal is -I(delivered) = -1 mA.
-        let i = x[sys.vsource_branch("V1").unwrap()];
+        let i = dc.vsource_current("V1").unwrap();
         assert!((i + 1.0e-3).abs() < 1e-9);
     }
 
@@ -1016,11 +992,8 @@ mod tests {
         ckt.add_vsource("V1", a, Circuit::GROUND, SourceWaveform::dc(1.0));
         ckt.add_inductor("L1", a, b, 1e-9);
         ckt.add_resistor("R1", b, Circuit::GROUND, 100.0);
-        let sys = MnaSystem::compile(&ckt);
-        let x0 = vec![0.0; sys.num_unknowns()];
-        let (m, rhs) = sys.assemble_dc(&x0);
-        let x = m.solve(&rhs).unwrap();
-        assert!((sys.node_voltage(&x, b.index()) - 1.0).abs() < 1e-6);
+        let dc = dc_operating_point(&ckt, DcOptions::default()).unwrap();
+        assert!((dc.voltage(b) - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -1029,10 +1002,7 @@ mod tests {
         let a = ckt.node("a");
         ckt.add_isource("I1", Circuit::GROUND, a, SourceWaveform::dc(1e-3));
         ckt.add_resistor("R1", a, Circuit::GROUND, 1000.0);
-        let sys = MnaSystem::compile(&ckt);
-        let x0 = vec![0.0; sys.num_unknowns()];
-        let (m, rhs) = sys.assemble_dc(&x0);
-        let x = m.solve(&rhs).unwrap();
-        assert!((sys.node_voltage(&x, a.index()) - 1.0).abs() < 1e-6);
+        let dc = dc_operating_point(&ckt, DcOptions::default()).unwrap();
+        assert!((dc.voltage(a) - 1.0).abs() < 1e-6);
     }
 }

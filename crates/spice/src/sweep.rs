@@ -32,8 +32,8 @@
 use rlc_numeric::{CscMatrix, DenseMatrix, Diagnostic, LuFactors, SparseLu};
 
 use crate::circuit::{Circuit, NodeId};
-use crate::mna::{pivots_healthy, CompanionMethod, MnaSystem};
-use crate::transient::TransientOptions;
+use crate::mna::{pivots_healthy, MnaSystem};
+use crate::transient::{IntegrationMethod, TransientOptions};
 use crate::waveform::Waveform;
 use crate::SpiceError;
 
@@ -321,7 +321,7 @@ impl VariationSweep {
         let opts = &self.options;
         let n = base.num_unknowns();
         let h = opts.time_step;
-        let method = opts.method.companion();
+        let method = opts.method;
         let n_steps = (opts.stop_time / opts.time_step).round() as usize;
         let num_probes = probes.len();
 
@@ -665,15 +665,15 @@ fn build_rhs_schedule(sys: &MnaSystem, n: usize) -> RhsSchedule {
 fn init_cap_ieq_panel(
     sys: &MnaSystem,
     h: f64,
-    method: CompanionMethod,
+    method: IntegrationMethod,
     x0: &[f64],
     cap_ieq: &mut [f64],
     k: usize,
 ) {
     for (idx, c) in sys.capacitors.iter().enumerate() {
         let g = match method {
-            CompanionMethod::BackwardEuler => c.farads / h,
-            CompanionMethod::Trapezoidal => 2.0 * c.farads / h,
+            IntegrationMethod::BackwardEuler => c.farads / h,
+            IntegrationMethod::Trapezoidal => 2.0 * c.farads / h,
         };
         let state = &mut cap_ieq[idx * k..(idx + 1) * k];
         panel_vdiff(x0, c.a, c.b, k, state);
@@ -692,7 +692,7 @@ fn rhs_panel(
     sys: &MnaSystem,
     t: f64,
     h: f64,
-    method: CompanionMethod,
+    method: IntegrationMethod,
     source_scales: &[f64],
     panel: &mut PanelState,
     sched: &RhsSchedule,
@@ -712,7 +712,7 @@ fn rhs_panel(
         // Fast path for the dominant extracted-netlist shape — a grounded
         // capacitor that writes its node row first: recurrence and
         // injection fuse into one pass with no staging lane.
-        if matches!(method, CompanionMethod::Trapezoidal)
+        if matches!(method, IntegrationMethod::Trapezoidal)
             && c.a != 0
             && c.b == 0
             && sched.cap_first[idx].0
@@ -731,13 +731,13 @@ fn rhs_panel(
         }
         panel_vdiff(prev, c.a, c.b, k, ieq);
         match method {
-            CompanionMethod::BackwardEuler => {
+            IntegrationMethod::BackwardEuler => {
                 let g = c.farads / h;
                 for v in ieq.iter_mut() {
                     *v *= g;
                 }
             }
-            CompanionMethod::Trapezoidal => {
+            IntegrationMethod::Trapezoidal => {
                 // ieq_{k+1} = 2*g*v_k - ieq_k with g = 2C/h.
                 let g2 = 2.0 * (2.0 * c.farads / h);
                 let state = &mut cap_state[idx * k..(idx + 1) * k];
@@ -756,13 +756,13 @@ fn rhs_panel(
         let out_row = row_map[l.branch] * k;
         let out = &mut rhs[out_row..out_row + k];
         match method {
-            CompanionMethod::BackwardEuler => {
+            IntegrationMethod::BackwardEuler => {
                 let z = l.henries / h;
                 for (o, &i) in out.iter_mut().zip(i_prev) {
                     *o = -z * i;
                 }
             }
-            CompanionMethod::Trapezoidal => {
+            IntegrationMethod::Trapezoidal => {
                 // `out = -z*i_prev - (v(a) - v(b))`, with the voltage
                 // difference read straight from `prev` (no staging lane).
                 let z = 2.0 * l.henries / h;
@@ -797,8 +797,8 @@ fn rhs_panel(
     }
     for m in sys.mutuals.iter() {
         let z_m = match method {
-            CompanionMethod::BackwardEuler => m.henries / h,
-            CompanionMethod::Trapezoidal => 2.0 * m.henries / h,
+            IntegrationMethod::BackwardEuler => m.henries / h,
+            IntegrationMethod::Trapezoidal => 2.0 * m.henries / h,
         };
         // Each branch row picks up the *other* branch's previous current;
         // RHS rows go through `row_map`, `prev` stays in original order.

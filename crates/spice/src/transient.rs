@@ -41,10 +41,12 @@
 //! A far-end handoff drives its line with a ramp placed at absolute path
 //! time, so its run starts at rest, waiting for the driver to switch. While
 //! the starting state and every source are exactly zero, a step solves a
-//! zero system to a zero solution, so the linear kernels record those steps
-//! as zero rows without solving them ([`TransientAnalysis::run_until`]
-//! states the rule, [`TransientResult::quiescent_steps`] counts the skipped
-//! steps). Only the sign of those zeros can differ from a solve.
+//! zero system to a zero solution, so the linear kernels accept those steps
+//! as zero rows without solving or storing them
+//! ([`TransientAnalysis::run_until`] states the rule,
+//! [`TransientResult::quiescent_steps`] counts the skipped steps, and the
+//! result reads them back as `+0.0`). Only the sign of those zeros can
+//! differ from a solve.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -54,7 +56,7 @@ use rlc_numeric::{CscMatrix, DenseMatrix, LuFactors, SparseLu};
 
 use crate::circuit::{Circuit, NodeId};
 use crate::dc::{damped_update, dc_solve_compiled, DcOptions};
-use crate::mna::{pivots_healthy, CompanionMethod, MnaSystem};
+use crate::mna::{pivots_healthy, MnaSystem};
 use crate::mosfet::MosfetEvalCache;
 use crate::waveform::Waveform;
 use crate::SpiceError;
@@ -77,15 +79,6 @@ pub enum IntegrationMethod {
     /// Backward Euler: first-order, numerically damped; useful as a
     /// cross-check and for stiff start-up transients.
     BackwardEuler,
-}
-
-impl IntegrationMethod {
-    pub(crate) fn companion(self) -> CompanionMethod {
-        match self {
-            IntegrationMethod::Trapezoidal => CompanionMethod::Trapezoidal,
-            IntegrationMethod::BackwardEuler => CompanionMethod::BackwardEuler,
-        }
-    }
 }
 
 /// How the transient analysis obtains its starting state.
@@ -499,9 +492,11 @@ impl<'a> StopWatch<'a> {
 /// in [`TransientResult`]) and the stop test every kernel loop consults.
 struct Trace<'c> {
     times: Vec<f64>,
+    /// Row 0, then the rows of the solved steps: the quiescent prefix
+    /// between them is not stored.
     solutions: Vec<f64>,
     stop: StopWatch<'c>,
-    /// Steps recorded by [`Trace::fast_forward`] without a solve.
+    /// Steps accepted by [`Trace::fast_forward`] without a solve.
     quiescent: usize,
 }
 
@@ -514,13 +509,15 @@ impl Trace<'_> {
         self.stop.all_crossed(system, x)
     }
 
-    /// Records the quiescent prefix of a linear run: while the starting
+    /// Accepts the quiescent prefix of a linear run: while the starting
     /// state `x0` is exactly zero and every source is exactly zero at
     /// `t = step·h`, the step's right-hand side is zero and its solution is
-    /// zero, so the step is accepted as an all-zero row without assembling
-    /// or solving; `zero_row` is a one-row buffer that holds those zeros.
-    /// Returns the first step the kernel must solve: past `n_steps` when the
-    /// window or the stop test ended inside the prefix.
+    /// zero, so the step is accepted without assembling or solving. Its time
+    /// is recorded and an all-zero row, held in the one-row buffer
+    /// `zero_row`, goes to the stop test; the row itself is not stored
+    /// ([`TransientResult`] reads the prefix back as `+0.0`). Returns the
+    /// first step the kernel must solve: past `n_steps` when the window or
+    /// the stop test ended inside the prefix.
     fn fast_forward(
         &mut self,
         system: &MnaSystem,
@@ -539,7 +536,8 @@ impl Trace<'_> {
                 return step;
             }
             self.quiescent += 1;
-            if self.push(system, t, zero_row) {
+            self.times.push(t);
+            if self.stop.all_crossed(system, zero_row) {
                 break;
             }
         }
@@ -564,7 +562,9 @@ pub struct TransientAnalysis {
 }
 
 /// Result of a transient run: the full solution history (stored as one flat
-/// row-major block, one row of `num_unknowns` values per time point).
+/// row-major block, one row of `num_unknowns` values per solved time point;
+/// the quiescent prefix a linear run fast-forwarded is not stored and reads
+/// back as `+0.0`).
 #[derive(Debug, Clone)]
 pub struct TransientResult {
     times: Vec<f64>,
@@ -599,10 +599,13 @@ impl TransientResult {
         self.degraded_to_dense
     }
 
-    /// Number of steps of the quiescent prefix the run recorded as all-zero
+    /// Number of steps of the quiescent prefix the run accepted as all-zero
     /// rows without solving: the leading steps of a linear run from an
     /// exactly zero state on which every source is exactly zero (see
-    /// [`TransientAnalysis::run_until`]). Always 0 for a nonzero starting
+    /// [`TransientAnalysis::run_until`]). Those rows are not stored;
+    /// [`TransientResult::waveform`] and
+    /// [`TransientResult::vsource_current`] read them as `+0.0`. Always 0
+    /// for a nonzero starting
     /// state and for the [`KernelStrategy::SplitStamp`] and
     /// [`KernelStrategy::LegacyFull`] kernels, which solve every step.
     pub fn quiescent_steps(&self) -> usize {
@@ -614,16 +617,20 @@ impl TransientResult {
         self.times.len()
     }
 
-    fn rows(&self) -> impl Iterator<Item = &[f64]> {
-        self.solutions.chunks_exact(self.stride)
+    /// `value` of the solution at every time point: row 0, `+0.0` for each
+    /// step of the quiescent prefix, then the solved rows.
+    fn samples(&self, value: impl Fn(&[f64]) -> f64) -> Vec<f64> {
+        let mut rows = self.solutions.chunks_exact(self.stride);
+        let mut values = Vec::with_capacity(self.times.len());
+        values.extend(rows.next().map(&value));
+        values.resize(values.len() + self.quiescent_steps, 0.0);
+        values.extend(rows.map(value));
+        values
     }
 
     /// Waveform of a node voltage.
     pub fn waveform(&self, node: NodeId) -> Waveform {
-        let values = self
-            .rows()
-            .map(|x| self.system.node_voltage(x, node.index()))
-            .collect();
+        let values = self.samples(|x| self.system.node_voltage(x, node.index()));
         Waveform::new(self.times.clone(), values)
     }
 
@@ -637,7 +644,7 @@ impl TransientResult {
     /// current into the positive terminal). Returns `None` for unknown names.
     pub fn vsource_current(&self, name: &str) -> Option<Waveform> {
         let branch = self.system.vsource_branch(name)?;
-        let values = self.rows().map(|x| x[branch]).collect();
+        let values = self.samples(|x| x[branch]);
         Some(Waveform::new(self.times.clone(), values))
     }
 }
@@ -697,9 +704,9 @@ impl TransientAnalysis {
     /// The sparse and dense factor-once kernels fast-forward the quiescent
     /// prefix: while the starting state is exactly zero and every
     /// independent voltage and current source evaluates to exactly `0.0` at
-    /// `t = step·h`, the step is recorded as an all-zero row, without
+    /// `t = step·h`, the step is accepted as an all-zero row, without
     /// assembling or solving, and handed to the stop test like any other
-    /// row. The factorization and its pivot-health gate run first, so the
+    /// row; only its time is stored. The factorization and its pivot-health gate run first, so the
     /// executed kernel and [`TransientResult::degraded_to_dense`] do not
     /// change. Both entry points skip the same steps, so the prefix
     /// guarantee above stays bit for bit. Against the same kernel solving
@@ -736,9 +743,9 @@ impl TransientAnalysis {
         let n = system.num_unknowns();
         let opts = &self.options;
         let n_steps = (opts.stop_time / opts.time_step).round() as usize;
-        // The trace is reserved up front: a time and a solution per step.
-        // Refuse a run that could not be held before allocating it, so an
-        // absurd window is a typed error instead of an aborted process.
+        // The trace may hold a time and a solution per step. Refuse a run
+        // that could not be held before allocating it, so an absurd window
+        // is a typed error instead of an aborted process.
         let values = n_steps.saturating_add(1).saturating_mul(n + 1);
         if values > TRACE_VALUE_BUDGET {
             return Err(SpiceError::InvalidOptions(format!(
@@ -766,9 +773,10 @@ impl TransientAnalysis {
         ws.prepare(n, system.num_capacitors(), system.num_mosfets());
         ws.prev_x.copy_from_slice(&x0);
 
+        // Each kernel loop reserves the rows of the steps it solves.
         let mut out = Trace {
             times: Vec::with_capacity(n_steps + 1),
-            solutions: Vec::with_capacity((n_steps + 1) * n),
+            solutions: Vec::with_capacity(n),
             stop: StopWatch::new(&system, crossings, &x0),
             quiescent: 0,
         };
@@ -829,7 +837,7 @@ impl TransientAnalysis {
         sparse: bool,
     ) -> Result<KernelStrategy, SpiceError> {
         let opts = &self.options;
-        let (h, method) = (opts.time_step, opts.method.companion());
+        let (h, method) = (opts.time_step, opts.method);
         if sparse {
             system.transient_triplets(h, method, &mut ws.triplets);
             let csc = CscMatrix::from_triplets(system.num_unknowns(), &ws.triplets);
@@ -866,9 +874,11 @@ impl TransientAnalysis {
         solve: impl Fn(&mut TransientWorkspace),
     ) {
         let opts = &self.options;
-        let (h, method) = (opts.time_step, opts.method.companion());
+        let (h, method) = (opts.time_step, opts.method);
         system.init_cap_ieq(h, method, &ws.prev_x, &mut ws.cap_ieq);
         let first = out.fast_forward(system, h, n_steps, &ws.prev_x, &mut ws.x_new);
+        out.solutions
+            .reserve((n_steps + 1).saturating_sub(first) * system.num_unknowns());
         for step in first..=n_steps {
             let t = step as f64 * h;
             system.transient_rhs_fused(t, h, method, &ws.prev_x, &mut ws.cap_ieq, &mut ws.rhs);
@@ -904,11 +914,7 @@ impl TransientAnalysis {
     ) -> Result<(), SpiceError> {
         let opts = &self.options;
         let n = system.num_unknowns();
-        system.stamp_transient_static(
-            &mut ws.static_matrix,
-            opts.time_step,
-            opts.method.companion(),
-        );
+        system.stamp_transient_static(&mut ws.static_matrix, opts.time_step, opts.method);
         let rows = system.mosfet_rows();
         let use_rank_update = !rows.is_empty()
             && 2 * rows.len() <= n
@@ -943,11 +949,12 @@ impl TransientAnalysis {
         solve: impl Fn(&mut TransientWorkspace, &MnaSystem, f64, bool) -> Result<(), SpiceError>,
     ) -> Result<(), SpiceError> {
         let opts = &self.options;
-        let (h, method) = (opts.time_step, opts.method.companion());
+        let (h, method) = (opts.time_step, opts.method);
         let n_voltages = system.num_nodes() - 1;
 
         system.init_cap_ieq(h, method, &ws.prev_x, &mut ws.cap_ieq);
         ws.prev2_x.copy_from_slice(&ws.prev_x);
+        out.solutions.reserve(n_steps * system.num_unknowns());
         for step in 1..=n_steps {
             let t = step as f64 * h;
             system.transient_rhs_fused(t, h, method, &ws.prev_x, &mut ws.cap_ieq, &mut ws.rhs_base);
@@ -995,13 +1002,14 @@ impl TransientAnalysis {
         out: &mut Trace<'_>,
     ) -> Result<(), SpiceError> {
         let opts = &self.options;
-        let method = opts.method.companion();
+        let method = opts.method;
         let h = opts.time_step;
         let n = system.num_unknowns();
         let n_voltages = system.num_nodes() - 1;
 
         let mut x = ws.prev_x.clone();
         let mut cap_currents = vec![0.0; system.num_capacitors()];
+        out.solutions.reserve(n_steps * n);
 
         for step in 1..=n_steps {
             let t = step as f64 * h;

@@ -27,9 +27,12 @@ use crate::load::LoadModel;
 use crate::stage::{InputEvent, Stage};
 
 thread_local! {
-    /// Per-worker-thread simulation workspace: a session fans stages across
-    /// threads, and every golden simulation a thread runs (driver stages,
-    /// far-end propagation) reuses one set of kernel buffers.
+    /// Per-thread simulation workspace: every simulation a thread runs
+    /// (driver stages, Rs extraction, far-end propagation) reuses one set of
+    /// kernel buffers. An engine's threads run the stages of all its
+    /// sessions, so the buffers outlive each session, sized by the largest
+    /// run, until the thread exits; every run factors afresh, so no result
+    /// depends on them.
     static SIM_WORKSPACE: RefCell<TransientWorkspace> = RefCell::new(TransientWorkspace::new());
 }
 

@@ -3,6 +3,7 @@
 //! `GoldenOptions` knobs of the layer crates.
 
 use std::path::PathBuf;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 use rlc_ceff::far_end::FarEndOptions;
@@ -30,8 +31,8 @@ pub struct EngineConfig {
     pub strategy: CeffStrategy,
     /// Fidelity of the golden simulation backend.
     pub golden: GoldenOptions,
-    /// Worker threads of each [`crate::AnalysisSession`]; `0` means one per
-    /// available CPU.
+    /// Worker loops of each [`crate::AnalysisSession`], which run on the
+    /// engine's threads; `0` means one per available CPU.
     pub threads: usize,
     /// Directory of the persistent characterization cache. When set,
     /// libraries opened through [`crate::TimingEngine::open_library`] consult
@@ -100,17 +101,16 @@ impl EngineConfig {
     }
 
     /// The configured worker-thread count: [`EngineConfig::threads`], or one
-    /// per available CPU when it is `0`. This is the pool ceiling an
-    /// [`crate::AnalysisSession`] grows towards (it spawns lazily, one
-    /// worker per submission, and [`SessionOptions::max_in_flight`] can cap
-    /// it further).
+    /// per available CPU when it is `0` (read once per process). This is
+    /// the number of worker loops an [`crate::AnalysisSession`] grows
+    /// towards (it starts them lazily, one per submission, and
+    /// [`SessionOptions::max_in_flight`] can cap it further), and the number
+    /// of idle threads the engine keeps between sessions.
     pub fn base_threads(&self) -> usize {
         if self.threads > 0 {
             self.threads
         } else {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            available_cpus()
         }
     }
 
@@ -119,6 +119,18 @@ impl EngineConfig {
     pub fn effective_threads(&self, stages: usize) -> usize {
         self.base_threads().min(stages).max(1)
     }
+}
+
+/// The process's available parallelism, queried once: the answer is a
+/// property of the process, and the query reads the scheduler affinity and
+/// cgroup limits on every call.
+fn available_cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Options of one [`crate::AnalysisSession`]

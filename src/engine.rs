@@ -10,11 +10,22 @@ use rlc_charlib::{CharacterizationGrid, Library};
 use crate::backend::{AnalysisBackend, AnalyticBackend, SpiceBackend, StageReport};
 use crate::config::{EngineConfig, SessionOptions};
 use crate::error::EngineError;
+use crate::pool::WorkerPool;
 use crate::session::{AnalysisSession, StageHandle};
 use crate::stage::{BackendChoice, Stage};
 use crate::variation::{DistributionReport, SampleResult};
 
 /// The unified timing engine.
+///
+/// The engine owns the threads its [`AnalysisSession`]s run their worker
+/// loops on, and its clones share them. It starts with none: a session
+/// borrows an idle thread for each loop it starts, or a new one when none is
+/// idle, and its drop waits for its loops to return. A finished thread
+/// parks for the next session, up to [`EngineConfig::base_threads`] idle
+/// threads; the rest exit. An idle thread keeps its simulation workspace,
+/// sized by the largest run it made, until it exits; every run factors
+/// afresh, so no result depends on it. The threads are joined when the last
+/// clone of the engine drops.
 ///
 /// ```no_run
 /// use rlc_ceff_suite::{
@@ -41,6 +52,7 @@ pub struct TimingEngine {
     config: EngineConfig,
     analytic: Arc<AnalyticBackend>,
     spice: Arc<SpiceBackend>,
+    pool: Arc<WorkerPool>,
 }
 
 impl Default for TimingEngine {
@@ -53,6 +65,7 @@ impl TimingEngine {
     /// Creates an engine with the given configuration.
     pub fn new(config: EngineConfig) -> Self {
         TimingEngine {
+            pool: Arc::new(WorkerPool::new(config.base_threads())),
             config,
             analytic: Arc::new(AnalyticBackend),
             spice: Arc::new(SpiceBackend),
@@ -62,6 +75,11 @@ impl TimingEngine {
     /// The active configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
+    }
+
+    /// The threads this engine's sessions run their worker loops on.
+    pub(crate) fn pool(&self) -> &WorkerPool {
+        &self.pool
     }
 
     /// Opens the cell library this engine's stages should draw from, on the
@@ -213,7 +231,7 @@ impl TimingEngine {
     /// [`crate::StageBuilder::monte_carlo`]): one revalued copy of the stage
     /// per sample — driver supply and on-resistance rescaled, load revalued
     /// through [`crate::LoadModel::scaled`] — scheduled across an
-    /// [`AnalysisSession`]'s thread pool, then reduced into a
+    /// [`AnalysisSession`]'s worker loops, then reduced into a
     /// [`DistributionReport`] in plan order. The reduction is deterministic:
     /// the same stage (and Monte-Carlo seed) always produces a bit-identical
     /// report, regardless of which worker finished first.
@@ -236,7 +254,7 @@ impl TimingEngine {
     /// plans) are ignored; a path corner is one global process condition.
     ///
     /// All `samples × stages` analyses share one session and run across its
-    /// thread pool. Returns one [`DistributionReport`] per stage, in path
+    /// worker loops. Returns one [`DistributionReport`] per stage, in path
     /// order.
     ///
     /// # Errors

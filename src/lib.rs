@@ -88,6 +88,7 @@ mod engine;
 mod error;
 mod lints;
 mod load;
+mod pool;
 mod session;
 mod stage;
 mod variation;

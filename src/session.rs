@@ -37,7 +37,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::backend::StageReport;
@@ -45,6 +44,7 @@ use crate::config::SessionOptions;
 use crate::driver::SampledWaveform;
 use crate::engine::TimingEngine;
 use crate::error::EngineError;
+use crate::pool::JobHandle;
 use crate::stage::{InputEvent, Stage};
 
 /// Session identifiers are process-global so a handle can never resolve
@@ -258,11 +258,17 @@ impl Shared {
 ///   far end simulates the propagation only up to the far end's last
 ///   measured crossing ([`StageReport::far_end_handoff`]); the sampled
 ///   waveform and named sinks come from full-window runs.
-/// * Scheduling is topological over a work queue on the engine's thread
-///   pool: independent stages run in parallel, dependents unblock the moment
-///   their producer completes, cycles and unknown sink names are rejected at
-///   submit time, and a failing producer poisons **only** its dependents
+/// * Scheduling is topological over a work queue: independent stages run in
+///   parallel, dependents unblock the moment their producer completes,
+///   cycles and unknown sink names are rejected at submit time, and a
+///   failing producer poisons **only** its dependents
 ///   ([`EngineError::UpstreamFailed`]).
+/// * The session's worker loops run on the engine's threads
+///   ([`TimingEngine`]): each submission starts one more loop, up to
+///   [`crate::EngineConfig::base_threads`] (capped by
+///   [`crate::SessionOptions::max_in_flight`]), on an idle engine thread or
+///   on a new one when none is idle. Dropping the session stops its loops
+///   and waits for each to return; stages already running finish first.
 /// * Idle workers prepare waiting stages ahead of their input. Under per-case
 ///   Rs extraction ([`crate::EngineConfig::extract_rs_per_case`], the
 ///   default), a stage's load reduction and the driver on-resistance
@@ -288,9 +294,11 @@ impl Shared {
 pub struct AnalysisSession {
     shared: Arc<Shared>,
     rx: Receiver<StageOutcome>,
-    workers: Vec<JoinHandle<()>>,
-    /// Upper bound on worker threads; they are spawned lazily, one per
-    /// submission, so small sessions never build a full CPU-wide pool.
+    /// Completion signals of the worker loops running on the engine's
+    /// threads.
+    workers: Vec<JobHandle>,
+    /// Upper bound on worker loops; they are started lazily, one per
+    /// submission, so a small session never occupies every idle thread.
     worker_target: usize,
     reported: usize,
 }
@@ -353,19 +361,24 @@ impl AnalysisSession {
         }
     }
 
-    /// Spawns one more worker thread unless the pool already reached its
+    /// Starts one more worker loop unless the session already reached its
     /// target. Called per submission, so a 2-stage session on a 64-core
-    /// host runs on 2 threads, not 64 parked ones.
+    /// host runs 2 loops, not 64 parked ones.
     fn ensure_worker(&mut self) {
         if self.workers.len() < self.worker_target {
-            self.spawn_worker();
+            self.start_worker();
         }
     }
 
-    fn spawn_worker(&mut self) {
+    /// Hands one more worker loop to the engine's threads.
+    fn start_worker(&mut self) {
         let shared = self.shared.clone();
-        self.workers
-            .push(std::thread::spawn(move || worker_loop(&shared)));
+        let job = self
+            .shared
+            .engine
+            .pool()
+            .execute(move || worker_loop(&shared));
+        self.workers.push(job);
     }
 
     /// Number of handles issued so far (submissions plus reservations).
@@ -485,11 +498,11 @@ impl AnalysisSession {
     {
         let stages = stages.into_iter();
         // A wide batch wants its full worker complement immediately, not one
-        // new thread per submission — the first stages should already be
+        // new loop per submission — the first stages should already be
         // fanning out while the tail of the batch is still validating.
         let known = stages.size_hint().0;
         while self.workers.len() < self.worker_target.min(known) {
-            self.spawn_worker();
+            self.start_worker();
         }
         stages.map(|s| self.submit(s)).collect()
     }
@@ -653,7 +666,7 @@ impl Drop for AnalysisSession {
         }
         self.shared.work.notify_all();
         for worker in self.workers.drain(..) {
-            let _ = worker.join();
+            worker.wait();
         }
     }
 }

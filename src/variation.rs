@@ -10,7 +10,7 @@
 //! [`crate::TimingEngine::analyze_distribution`] materializes one scaled
 //! stage per sample — driver supply and on-resistance rescaled, load revalued
 //! through [`crate::LoadModel::scaled`] — schedules every sample across an
-//! [`crate::AnalysisSession`]'s thread pool, and reduces the per-sample
+//! [`crate::AnalysisSession`]'s worker loops, and reduces the per-sample
 //! reports into a [`DistributionReport`].
 //!
 //! Sampling is fully deterministic: Monte-Carlo draws are generated from the
