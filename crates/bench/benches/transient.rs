@@ -255,136 +255,6 @@ fn main() {
         optimized_ns: optimized.as_nanos(),
     });
 
-    // ---- Batched variation engine: one factorization per matrix group ----
-    // 4 R/C process corners x 64 supply draws over the flagship ladder. The
-    // naive statistical flow rebuilds and refactors the MNA system for every
-    // sample; the sweep kernel revalues the fixed sparsity pattern once per
-    // distinct matrix (supply draws only change the RHS) and pushes each
-    // group's samples through multi-RHS panels. This is the headline number
-    // of the variation engine, so the full run gates on the 10x target.
-    {
-        use rlc_numeric::stats::Rng;
-        use rlc_spice::sweep::{VariationSpec, VariationSweep};
-
-        let (mc_segments, draws, mc_stop) = if smoke {
-            (16, 4, ps(150.0))
-        } else {
-            (64, 64, ps(600.0))
-        };
-        let corners = [
-            VariationSpec::nominal(),
-            VariationSpec::nominal()
-                .with_r_scale(1.15)
-                .with_c_scale(1.08),
-            VariationSpec::nominal()
-                .with_r_scale(0.87)
-                .with_c_scale(0.93),
-            VariationSpec::nominal()
-                .with_r_scale(1.15)
-                .with_c_scale(0.93),
-        ];
-        let mut rng = Rng::new(0x5eed);
-        let mut specs = Vec::new();
-        for corner in corners {
-            for _ in 0..draws {
-                specs.push(corner.with_source_scale(rng.normal(1.0, 0.03).clamp(0.9, 1.1)));
-            }
-        }
-        let scaled_ladder = |spec: &VariationSpec| {
-            pwl_source_with_rlc_line(
-                SourceWaveform::rising_ramp(1.8 * spec.source_scale, 0.0, ps(100.0)),
-                0.0,
-                r * spec.effective_r_scale(),
-                l * spec.l_scale,
-                c * spec.c_scale,
-                mc_segments,
-                ff(10.0) * spec.c_scale,
-            )
-            .0
-        };
-        let (base, nodes) = pwl_source_with_rlc_line(
-            SourceWaveform::rising_ramp(1.8, 0.0, ps(100.0)),
-            0.0,
-            r,
-            l,
-            c,
-            mc_segments,
-            ff(10.0),
-        );
-        let far = nodes.far_end;
-        let mc_name = format!("mc_sweep_{mc_segments}seg_{}samples", specs.len());
-        let naive = TransientAnalysis::new(options(ps(0.5), mc_stop, KernelStrategy::Auto));
-        let mut naive_ws = TransientWorkspace::new();
-        let baseline = runner.bench(&format!("{mc_name}/naive"), || {
-            let mut acc = 0.0;
-            for spec in &specs {
-                let ckt = scaled_ladder(spec);
-                let res = naive.run_with(black_box(&ckt), &mut naive_ws).unwrap();
-                acc += res.waveform(far).values().last().unwrap();
-            }
-            black_box(acc)
-        });
-        let sweep = VariationSweep::new(TransientOptions::try_new(ps(0.5), mc_stop).unwrap());
-        let optimized = runner.bench(&format!("{mc_name}/sweep"), || {
-            let res = sweep
-                .run(black_box(&base), &[far], black_box(&specs))
-                .unwrap();
-            assert_eq!(res.matrix_groups(), corners.len());
-            black_box(res.samples(specs.len() - 1, 0).last().copied())
-        });
-        // CI wall-clock gate: even the smoke-sized sweep must stay snappy on
-        // a loaded shared runner.
-        assert!(
-            optimized < std::time::Duration::from_secs(2),
-            "{mc_name} sweep took {optimized:?}, over the 2 s wall-clock budget"
-        );
-        if !smoke {
-            let speedup = baseline.as_nanos() as f64 / optimized.as_nanos() as f64;
-            assert!(
-                speedup >= 10.0,
-                "{mc_name}: batched sweep speedup {speedup:.1}x is under the 10x target"
-            );
-        }
-
-        // Seed determinism: the same Monte-Carlo seed must reproduce the
-        // facade's DistributionReport bit for bit, worker scheduling aside.
-        {
-            use rlc_ceff_suite::{
-                DistributedRlcLoad, EngineConfig, Stage, TimingEngine, VariationModel,
-            };
-            let engine = TimingEngine::new(EngineConfig::fast_for_tests());
-            let mc_stage = || {
-                Stage::builder(
-                    session_bench_cell(),
-                    DistributedRlcLoad::new(RlcLine::new(r, l, c, mm(5.0)), ff(10.0)).unwrap(),
-                )
-                .input_slew(ps(100.0))
-                .monte_carlo(
-                    if smoke { 8 } else { 16 },
-                    0x5eed,
-                    VariationModel::default(),
-                )
-                .build()
-                .unwrap()
-            };
-            let a = engine.analyze_distribution(&mc_stage()).unwrap();
-            let b = engine.analyze_distribution(&mc_stage()).unwrap();
-            assert_eq!(
-                a.delay().mean.to_bits(),
-                b.delay().mean.to_bits(),
-                "Monte-Carlo distribution must be seed-deterministic"
-            );
-            assert_eq!(a.delay().p99.to_bits(), b.delay().p99.to_bits());
-            assert_eq!(a.worst_sample().0, b.worst_sample().0);
-        }
-
-        results.push(BenchComparison {
-            name: mc_name,
-            baseline_ns: baseline.as_nanos(),
-            optimized_ns: optimized.as_nanos(),
-        });
-    }
-
     // ---- Reduced-order model versus transient simulation -----------------
     // The same 8-sink net analyzed as a timing stage: the golden
     // transistor-level simulation (driver netlist + stamped tree) versus the

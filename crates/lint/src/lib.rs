@@ -122,9 +122,9 @@ pub mod codes {
     /// `L040` (Error): a variation-spec scale field is not finite/positive
     /// (emitted by `rlc_spice::sweep::VariationSpec::diagnostics`).
     pub const VARIATION_FIELD: &str = "L040";
-    /// `L041` (Error): a variation corner's scale factors pushed a compiled
-    /// element table value non-passive (emitted per matrix group by
-    /// `VariationSweep`).
+    /// `L041` (Error): a variation corner's scale factors pushed a revalued
+    /// load element non-passive (emitted by the facade's
+    /// `analyze_[path_]distribution` when it revalues a stage's load).
     pub const VARIATION_NON_PASSIVE: &str = "L041";
 
     /// Every shipped code with its fixed severity label and one-line

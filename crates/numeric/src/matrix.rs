@@ -352,62 +352,6 @@ impl LuFactors {
         }
     }
 
-    /// Solves `A X = B` for a panel of `k` right-hand sides at once, with no
-    /// allocation.
-    ///
-    /// The panel is an `n x k` matrix whose columns are the individual
-    /// right-hand sides, stored row-major: entry `(i, j)` (component `i` of
-    /// RHS `j`) lives at index `i * k + j`, so the `k` lane values of each
-    /// unknown are contiguous. This keeps the inner lane loops of the
-    /// triangular sweeps unit-stride — one pass over the factors serves the
-    /// whole batch — which is what makes batched variation sweeps profitable.
-    ///
-    /// For every lane the floating-point operation order is identical to
-    /// [`LuFactors::solve_into`], so each column of the result is
-    /// bit-identical to an independent single-RHS solve.
-    ///
-    /// # Panics
-    /// Panics if `b.len()` or `x.len()` is not `n * k`.
-    pub fn solve_many_into(&self, b: &[f64], x: &mut [f64], k: usize) {
-        let n = self.n;
-        assert_eq!(b.len(), n * k, "rhs panel must be n * k");
-        assert_eq!(x.len(), n * k, "solution panel must be n * k");
-        if k == 0 {
-            return;
-        }
-        // apply permutation to every lane
-        for (xi, &p) in x.chunks_exact_mut(k).zip(&self.perm) {
-            xi.copy_from_slice(&b[p * k..p * k + k]);
-        }
-        // forward substitution (L has implicit unit diagonal); lanes are the
-        // inner loop so each factor entry is loaded once per panel.
-        for i in 1..n {
-            let (head, tail) = x.split_at_mut(i * k);
-            let acc = &mut tail[..k];
-            let row = &self.lu[i * n..i * n + i];
-            for (a, xj) in row.iter().zip(head.chunks_exact(k)) {
-                for (acc_l, &x_l) in acc.iter_mut().zip(xj.iter()) {
-                    *acc_l -= a * x_l;
-                }
-            }
-        }
-        // back substitution
-        for i in (0..n).rev() {
-            let (head, tail) = x.split_at_mut((i + 1) * k);
-            let xi = &mut head[i * k..];
-            let row = &self.lu[i * n + i + 1..(i + 1) * n];
-            for (a, xj) in row.iter().zip(tail.chunks_exact(k)) {
-                for (xi_l, &x_l) in xi.iter_mut().zip(xj.iter()) {
-                    *xi_l -= a * x_l;
-                }
-            }
-            let d = self.lu[i * n + i];
-            for v in xi.iter_mut() {
-                *v /= d;
-            }
-        }
-    }
-
     /// Smallest and largest pivot magnitudes of the factorization. Their
     /// ratio is a cheap conditioning proxy used to gate low-rank-update
     /// solve schemes that amplify the inverse of these factors.
@@ -575,46 +519,6 @@ mod sweep_tests {
     fn pseudo_random(seed: u64) -> impl FnMut() -> f64 {
         let mut unit = crate::splitmix_stream(seed);
         move || unit() * 2.0 - 1.0
-    }
-
-    /// A batched panel solve must agree with N independent `solve_into`
-    /// calls lane by lane — and because the operation order is preserved the
-    /// agreement is exact, far inside the 1e-12 acceptance bound.
-    #[test]
-    fn solve_many_into_matches_independent_solves() {
-        for (n, k) in [(1usize, 1usize), (3, 4), (7, 2), (12, 16), (20, 5)] {
-            let mut next = pseudo_random(0xbadc_0ffe + (n * 31 + k) as u64);
-            let mut a = DenseMatrix::zeros(n, n);
-            for i in 0..n {
-                for j in 0..n {
-                    a.set(i, j, next());
-                }
-                a.add_at(i, i, 8.0);
-            }
-            let mut factors = LuFactors::empty();
-            a.factor_into(&mut factors).unwrap();
-
-            // Interleaved panel: component i of RHS j at b[i * k + j].
-            let b: Vec<f64> = (0..n * k).map(|_| next()).collect();
-            let mut x = vec![0.0; n * k];
-            factors.solve_many_into(&b, &mut x, k);
-
-            let mut single_b = vec![0.0; n];
-            let mut single_x = vec![0.0; n];
-            for lane in 0..k {
-                for i in 0..n {
-                    single_b[i] = b[i * k + lane];
-                }
-                factors.solve_into(&single_b, &mut single_x);
-                for i in 0..n {
-                    assert_eq!(
-                        x[i * k + lane].to_bits(),
-                        single_x[i].to_bits(),
-                        "n={n} k={k} lane={lane} row={i}"
-                    );
-                }
-            }
-        }
     }
 
     /// Solving a pseudo-random diagonally-dominant system and multiplying

@@ -16,10 +16,7 @@
 //!   unsymmetric MNA stamps). The symbolic structure — elimination order,
 //!   pivot sequence and the L/U patterns — is computed once by
 //!   [`SparseLu::factor`] and reused: [`SparseLu::solve_into`] performs the
-//!   allocation-free triangular solves of the factor-once transient kernel,
-//!   and [`SparseLu::refactor`] replays the numeric pass on new values with
-//!   the same pattern (the matrix groups of a variation sweep) without
-//!   re-running the ordering or the reachability search.
+//!   allocation-free triangular solves of the factor-once transient kernel.
 //!
 //! Pivot health is observable through [`SparseLu::pivot_extremes`], mirroring
 //! [`crate::LuFactors::pivot_extremes`], so callers can gate the sparse path
@@ -142,50 +139,6 @@ impl CscMatrix {
         self.values.iter().fold(0.0, |acc, v| acc.max(v.abs()))
     }
 
-    /// Maps each triplet of `triplets` to the storage slot it landed in when
-    /// this matrix was assembled, so the values can later be refreshed in
-    /// place via [`CscMatrix::revalue_from_triplets`] without re-running the
-    /// assembly (count/scatter/sort) for every variation sample.
-    ///
-    /// # Panics
-    /// Panics if a triplet addresses a position that is not part of this
-    /// matrix's sparsity pattern.
-    pub fn triplet_map(&self, triplets: &[(usize, usize, f64)]) -> Vec<usize> {
-        triplets
-            .iter()
-            .map(|&(r, c, _)| {
-                let range = self.col_ptr[c]..self.col_ptr[c + 1];
-                let off = self.row_idx[range.clone()]
-                    .binary_search(&r)
-                    .unwrap_or_else(|_| panic!("triplet ({r}, {c}) is not in the matrix pattern"));
-                range.start + off
-            })
-            .collect()
-    }
-
-    /// Replaces the stored values from a triplet list with the **same
-    /// pattern** as the one this matrix was assembled from, using a slot map
-    /// previously built by [`CscMatrix::triplet_map`]. Duplicate triplets
-    /// accumulate, matching [`CscMatrix::from_triplets`] semantics; the
-    /// sparsity pattern (and therefore [`SparseLu::refactor`] eligibility) is
-    /// preserved exactly.
-    ///
-    /// # Panics
-    /// Panics if `map.len() != triplets.len()` or a slot is out of bounds.
-    pub fn revalue_from_triplets(&mut self, map: &[usize], triplets: &[(usize, usize, f64)]) {
-        assert_eq!(
-            map.len(),
-            triplets.len(),
-            "slot map and triplet list must pair up"
-        );
-        for v in self.values.iter_mut() {
-            *v = 0.0;
-        }
-        for (&slot, &(_, _, v)) in map.iter().zip(triplets) {
-            self.values[slot] += v;
-        }
-    }
-
     /// Dense matrix-vector product `y = A x` (test and cross-check helper).
     ///
     /// # Panics
@@ -211,8 +164,7 @@ impl CscMatrix {
 /// [`SparseLu::factor`] performs the symbolic analysis (ordering, per-column
 /// reachability, pivot selection) and the numeric factorization together;
 /// the resulting structure is retained so that [`SparseLu::solve_into`] is
-/// allocation-free and [`SparseLu::refactor`] can refresh the numeric values
-/// for a same-pattern matrix without repeating the symbolic work.
+/// allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct SparseLu {
     n: usize,
@@ -235,10 +187,7 @@ pub struct SparseLu {
     u_rows: Vec<usize>,
     u_vals: Vec<f64>,
     // `l_rows_mapped[p] == pinv[l_rows[p]]`: L's original row indices
-    // translated to pivotal coordinates for the forward solves.
-    // Every mapped index is strictly greater than its column's step (those
-    // rows are not yet pivoted when the column is formed), which is what
-    // lets the forward solve split the panel instead of staging lanes.
+    // translated to pivotal coordinates for the forward solve.
     l_rows_mapped: Vec<usize>,
     // Reusable solve/factor scratch.
     work: Vec<f64>,
@@ -406,70 +355,6 @@ impl SparseLu {
         Ok(())
     }
 
-    /// Refreshes the numeric values for a matrix with the **same sparsity
-    /// pattern** as the one last passed to [`SparseLu::factor`], replaying
-    /// the elimination with the stored ordering, pivot sequence and fill
-    /// patterns — no symbolic work.
-    ///
-    /// The caller is responsible for the pattern actually matching (a
-    /// matrix refreshed by [`CscMatrix::revalue_from_triplets`] does);
-    /// reusing the old pivot sequence on very different values can degrade
-    /// accuracy, which [`SparseLu::pivot_extremes`] makes observable. The
-    /// result also differs in its last bits from a fresh
-    /// [`SparseLu::factor`] of the same matrix whenever a fresh pivot
-    /// search would pick different pivots.
-    ///
-    /// # Errors
-    /// Returns [`SolveError::Singular`] when a reused pivot position becomes
-    /// numerically zero, and [`SolveError::DimensionMismatch`] when called
-    /// before a successful [`SparseLu::factor`] or with a different
-    /// dimension.
-    pub fn refactor(&mut self, a: &CscMatrix) -> Result<(), SolveError> {
-        if self.n == 0 || a.dim() != self.n || self.pivot_row.len() != self.n {
-            return Err(SolveError::DimensionMismatch);
-        }
-        let n = self.n;
-        self.work.clear();
-        self.work.resize(n, 0.0);
-        for k in 0..n {
-            let col = self.col_order[k];
-            for p in a.col_ptr[col]..a.col_ptr[col + 1] {
-                self.work[a.row_idx[p]] = a.values[p];
-            }
-            // Left-looking update in ascending pivotal order (topologically
-            // valid for the stored pattern), refreshing U as we go.
-            let (u_lo, u_hi) = (self.u_colptr[k], self.u_colptr[k + 1]);
-            for p in u_lo..u_hi - 1 {
-                let j = self.u_rows[p];
-                let orig = self.pivot_row[j];
-                let xj = self.work[orig];
-                self.u_vals[p] = xj;
-                self.work[orig] = 0.0;
-                if xj != 0.0 {
-                    for q in self.l_colptr[j]..self.l_colptr[j + 1] {
-                        self.work[self.l_rows[q]] -= self.l_vals[q] * xj;
-                    }
-                }
-            }
-            let best = self.pivot_row[k];
-            let pivot = self.work[best];
-            self.work[best] = 0.0;
-            if pivot.abs() < PIVOT_FLOOR {
-                for p in self.l_colptr[k]..self.l_colptr[k + 1] {
-                    self.work[self.l_rows[p]] = 0.0;
-                }
-                return Err(SolveError::Singular { column: col });
-            }
-            self.u_vals[u_hi - 1] = pivot;
-            for p in self.l_colptr[k]..self.l_colptr[k + 1] {
-                let i = self.l_rows[p];
-                self.l_vals[p] = self.work[i] / pivot;
-                self.work[i] = 0.0;
-            }
-        }
-        Ok(())
-    }
-
     /// Solves `A x = b` using the stored factors; allocation-free.
     ///
     /// The solve makes two permutation passes: it gathers `b` into pivotal
@@ -511,95 +396,6 @@ impl SparseLu {
         // Undo the column permutation: solution[q[k]] = z[k].
         for (&zk, &col) in y.iter().zip(&self.col_order) {
             x[col] = zk;
-        }
-    }
-
-    /// Row permutation of the stored factorization: `row_permutation()[i]`
-    /// is the pivotal step at which original row `i` was eliminated. A
-    /// caller that assembles right-hand sides through this map can use the
-    /// panel solve [`SparseLu::solve_many_prepivoted`].
-    /// Empty before a successful [`SparseLu::factor`]; stable across
-    /// [`SparseLu::refactor`].
-    pub fn row_permutation(&self) -> &[usize] {
-        &self.pinv
-    }
-
-    /// Solves `A X = B` for a panel of `k` right-hand sides at once, with
-    /// `B` already assembled in *pivotal* row coordinates. Both panels are
-    /// `n x k` and row-major, so the `k` lane values of every unknown are
-    /// contiguous and each factor entry is loaded once per panel instead of
-    /// once per sample: `b[step * k + lane]` must hold the RHS entry of the
-    /// original row `pivot_row[step]` (i.e. rows permuted through
-    /// [`SparseLu::row_permutation`]). `b` is consumed as the working
-    /// buffer; `x` receives the solution in original (unpermuted) column
-    /// coordinates, like every other solve.
-    ///
-    /// The pivot lane of each step is a contiguous read (no staging copy),
-    /// and because forward updates only ever touch later pivotal rows and
-    /// backward updates earlier ones, the panel is split instead of
-    /// aliased. Pivot divisions are applied as a precomputed reciprocal
-    /// multiply, so results can differ from [`SparseLu::solve_into`] by
-    /// about one ulp per entry (far below the factorization error); every
-    /// other operation matches exactly.
-    ///
-    /// # Panics
-    /// Panics if `b.len()` or `x.len()` is not `n * k`, or if called before
-    /// a successful [`SparseLu::factor`].
-    pub fn solve_many_prepivoted(&mut self, b: &mut [f64], x: &mut [f64], k: usize) {
-        let n = self.n;
-        assert_eq!(b.len(), n * k, "rhs panel must be n * k");
-        assert_eq!(x.len(), n * k, "solution panel must be n * k");
-        if k == 0 {
-            return;
-        }
-        // Forward solve L Y = B (B already row-permuted): column `step`'s
-        // updates land on strictly later pivotal rows.
-        for step in 0..n {
-            let (lo, hi) = (self.l_colptr[step], self.l_colptr[step + 1]);
-            if lo == hi {
-                continue;
-            }
-            let (done, rest) = b.split_at_mut((step + 1) * k);
-            let lane = &done[step * k..];
-            if lane.iter().all(|&v| v == 0.0) {
-                continue;
-            }
-            for p in lo..hi {
-                let row = (self.l_rows_mapped[p] - step - 1) * k;
-                let lv = self.l_vals[p];
-                for (wl, &y) in rest[row..row + k].iter_mut().zip(lane.iter()) {
-                    *wl -= lv * y;
-                }
-            }
-        }
-        // Backward solve U Z = Y: each finished lane is divided straight
-        // into its final slot `x[col_order[step]]` and the updates land on
-        // strictly earlier pivotal rows.
-        for step in (0..n).rev() {
-            let (lo, hi) = (self.u_colptr[step], self.u_colptr[step + 1]);
-            // One scalar division per step instead of one vector division
-            // per lane; the ≤1-ulp-per-entry difference against
-            // [`SparseLu::solve_into`] is far below factorization error.
-            let r = 1.0 / self.u_vals[hi - 1];
-            let dst = self.col_order[step] * k;
-            let (earlier, cur) = b.split_at_mut(step * k);
-            let mut all_zero = true;
-            for (xl, &yl) in x[dst..dst + k].iter_mut().zip(cur[..k].iter()) {
-                let z = yl * r;
-                all_zero &= z == 0.0;
-                *xl = z;
-            }
-            if all_zero || lo + 1 == hi {
-                continue;
-            }
-            let z = &x[dst..dst + k];
-            for p in lo..hi - 1 {
-                let row = self.u_rows[p] * k;
-                let uv = self.u_vals[p];
-                for (wl, &zl) in earlier[row..row + k].iter_mut().zip(z.iter()) {
-                    *wl -= uv * zl;
-                }
-            }
         }
     }
 
@@ -1033,10 +829,6 @@ mod tests {
         (triplets, a)
     }
 
-    fn same_pattern(a: &CscMatrix, b: &CscMatrix) -> bool {
-        a.n == b.n && a.col_ptr == b.col_ptr && a.row_idx == b.row_idx
-    }
-
     fn dense_from_triplets(n: usize, triplets: &[(usize, usize, f64)]) -> DenseMatrix {
         let mut m = DenseMatrix::zeros(n, n);
         for &(r, c, v) in triplets {
@@ -1120,37 +912,6 @@ mod tests {
     }
 
     #[test]
-    fn refactor_reuses_pattern_and_matches_full_factor() {
-        let (triplets, a) = random_system(60, 3, 7);
-        let mut lu = SparseLu::empty();
-        lu.factor(&a).unwrap();
-        // Same pattern, scaled values.
-        let scaled: Vec<(usize, usize, f64)> =
-            triplets.iter().map(|&(r, c, v)| (r, c, 1.7 * v)).collect();
-        let a2 = CscMatrix::from_triplets(60, &scaled);
-        assert!(same_pattern(&a, &a2));
-        lu.refactor(&a2).unwrap();
-        let b: Vec<f64> = (0..60).map(|k| (k as f64 * 0.11).cos()).collect();
-        let mut x = vec![0.0; 60];
-        lu.solve_into(&b, &mut x);
-        let ax = a2.mul_vec(&x);
-        for k in 0..60 {
-            assert!(
-                (ax[k] - b[k]).abs() < 1e-9,
-                "residual at {k}: {}",
-                ax[k] - b[k]
-            );
-        }
-    }
-
-    #[test]
-    fn refactor_before_factor_is_a_dimension_error() {
-        let a = CscMatrix::from_triplets(2, &[(0, 0, 1.0), (1, 1, 1.0)]);
-        let mut lu = SparseLu::empty();
-        assert_eq!(lu.refactor(&a), Err(SolveError::DimensionMismatch));
-    }
-
-    #[test]
     fn singular_matrix_is_reported() {
         // Column 1 is structurally empty.
         let a = CscMatrix::from_triplets(3, &[(0, 0, 1.0), (2, 2, 1.0), (0, 2, 0.5)]);
@@ -1200,83 +961,6 @@ mod tests {
         let ax = a.mul_vec(&x);
         for k in 0..n {
             assert!((ax[k] - b[k]).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn revalue_from_triplets_matches_fresh_assembly() {
-        let (triplets, mut a) = random_system(50, 3, 33);
-        let map = a.triplet_map(&triplets);
-        // New values on the identical pattern — what a variation sample does.
-        let revalued: Vec<(usize, usize, f64)> = triplets
-            .iter()
-            .enumerate()
-            .map(|(i, &(r, c, v))| (r, c, v * (1.0 + 0.01 * i as f64)))
-            .collect();
-        let fresh = CscMatrix::from_triplets(50, &revalued);
-        a.revalue_from_triplets(&map, &revalued);
-        assert!(same_pattern(&a, &fresh));
-        for c in 0..50 {
-            for r in 0..50 {
-                let want = fresh.get(r, c);
-                assert!(
-                    (a.get(r, c) - want).abs() <= 1e-12 * want.abs().max(1.0),
-                    "({r}, {c}): {} vs {want}",
-                    a.get(r, c)
-                );
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "not in the matrix pattern")]
-    fn triplet_map_rejects_pattern_mismatch() {
-        let a = CscMatrix::from_triplets(3, &[(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)]);
-        let _ = a.triplet_map(&[(0, 1, 5.0)]);
-    }
-
-    #[test]
-    fn solve_many_prepivoted_matches_independent_solves() {
-        for (n, extra, k, seed) in [
-            (5usize, 2usize, 3usize, 23u64),
-            (40, 3, 8, 24),
-            (120, 4, 16, 25),
-        ] {
-            let (_, a) = random_system(n, extra, seed);
-            let mut lu = SparseLu::empty();
-            lu.factor(&a).unwrap();
-            let mut unit = crate::splitmix_stream(seed ^ 0x9e37_79b9);
-            let b: Vec<f64> = (0..n * k).map(|_| unit() - 0.5).collect();
-
-            // Assemble the panel in pivotal row order, as a sweep caller
-            // would: pivotal row `pinv[i]` holds original row `i`.
-            let pinv = lu.row_permutation().to_vec();
-            let mut pivoted = vec![0.0; n * k];
-            for i in 0..n {
-                pivoted[pinv[i] * k..(pinv[i] + 1) * k].copy_from_slice(&b[i * k..(i + 1) * k]);
-            }
-            let mut x = vec![0.0; n * k];
-            lu.solve_many_prepivoted(&mut pivoted, &mut x, k);
-
-            // The reciprocal-multiply pivots allow ulp-level differences
-            // against the dividing single-RHS path.
-            let mut single_b = vec![0.0; n];
-            let mut single_x = vec![0.0; n];
-            for lane in 0..k {
-                for i in 0..n {
-                    single_b[i] = b[i * k + lane];
-                }
-                lu.solve_into(&single_b, &mut single_x);
-                for i in 0..n {
-                    let tol = 1e-12 * single_x[i].abs().max(1.0);
-                    assert!(
-                        (x[i * k + lane] - single_x[i]).abs() <= tol,
-                        "n={n} k={k} lane={lane} row={i}: {} vs {}",
-                        x[i * k + lane],
-                        single_x[i]
-                    );
-                }
-            }
         }
     }
 

@@ -56,7 +56,7 @@ pub use dc::{dc_operating_point, DcOptions};
 pub use elements::Element;
 pub use mosfet::{MosfetParams, MosfetType};
 pub use source::SourceWaveform;
-pub use sweep::{SweepResult, VariationSpec, VariationSweep};
+pub use sweep::VariationSpec;
 pub use transient::{
     Crossing, IntegrationMethod, KernelStrategy, TransientAnalysis, TransientOptions,
     TransientResult, TransientWorkspace,
@@ -69,7 +69,7 @@ pub mod prelude {
     pub use crate::dc::{dc_operating_point, DcOptions};
     pub use crate::mosfet::{MosfetParams, MosfetType};
     pub use crate::source::SourceWaveform;
-    pub use crate::sweep::{SweepResult, VariationSpec, VariationSweep};
+    pub use crate::sweep::VariationSpec;
     pub use crate::transient::{
         Crossing, IntegrationMethod, KernelStrategy, TransientAnalysis, TransientOptions,
         TransientResult, TransientWorkspace,

@@ -25,75 +25,74 @@ pub const GMIN: f64 = 1e-12;
 /// reach `1e-9 ×` the stamp. A smaller pivot means some unknown is held only
 /// by the [`GMIN`] floor, such as a floating node or a node that only
 /// MOSFETs touch, and solving through it can amplify rounding by 1e9 or
-/// more. The sparse factor-once kernel, the sparse DC solve and the
-/// variation sweep then degrade to dense partial-pivoting LU, whose row
-/// exchanges on the full matrix handle what the sparsity-constrained
-/// pivoting cannot; the split-stamp Newton refactorizes every iteration
-/// instead of applying the Woodbury update, which multiplies by the inverse
-/// of the static factors.
+/// more. The sparse factor-once kernel and the sparse DC solve then
+/// degrade to dense partial-pivoting LU, whose row exchanges on the full
+/// matrix handle what the sparsity-constrained pivoting cannot; the
+/// split-stamp Newton refactorizes every iteration instead of applying the
+/// Woodbury update, which multiplies by the inverse of the static factors.
 pub(crate) fn pivots_healthy(min_pivot: f64, max_stamp: f64) -> bool {
     min_pivot >= 1e-9 * max_stamp
 }
 
 /// A compiled resistor.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CompiledResistor {
-    pub a: usize,
-    pub b: usize,
-    pub conductance: f64,
+struct CompiledResistor {
+    a: usize,
+    b: usize,
+    conductance: f64,
 }
 
 /// A compiled capacitor (explicit element or MOSFET parasitic).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CompiledCapacitor {
-    pub a: usize,
-    pub b: usize,
-    pub farads: f64,
+struct CompiledCapacitor {
+    a: usize,
+    b: usize,
+    farads: f64,
 }
 
 /// A compiled inductor with its branch-current unknown.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CompiledInductor {
-    pub a: usize,
-    pub b: usize,
-    pub henries: f64,
-    pub branch: usize,
+struct CompiledInductor {
+    a: usize,
+    b: usize,
+    henries: f64,
+    branch: usize,
 }
 
 /// A compiled mutual inductance coupling two inductor branch currents.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CompiledMutual {
-    pub branch_a: usize,
-    pub branch_b: usize,
-    pub henries: f64,
+struct CompiledMutual {
+    branch_a: usize,
+    branch_b: usize,
+    henries: f64,
 }
 
 /// A compiled voltage source with its branch-current unknown.
 #[derive(Debug, Clone)]
-pub(crate) struct CompiledVsource {
-    pub name: String,
-    pub pos: usize,
-    pub neg: usize,
-    pub waveform: SourceWaveform,
-    pub branch: usize,
+struct CompiledVsource {
+    name: String,
+    pos: usize,
+    neg: usize,
+    waveform: SourceWaveform,
+    branch: usize,
 }
 
 /// A compiled current source.
 #[derive(Debug, Clone)]
-pub(crate) struct CompiledIsource {
-    pub from: usize,
-    pub to: usize,
-    pub waveform: SourceWaveform,
+struct CompiledIsource {
+    from: usize,
+    to: usize,
+    waveform: SourceWaveform,
 }
 
 /// A compiled MOSFET.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CompiledMosfet {
-    pub drain: usize,
-    pub gate: usize,
-    pub source: usize,
-    pub params: MosfetParams,
-    pub width: f64,
+struct CompiledMosfet {
+    drain: usize,
+    gate: usize,
+    source: usize,
+    params: MosfetParams,
+    width: f64,
 }
 
 /// The compiled MNA view of a circuit.
@@ -104,13 +103,13 @@ pub(crate) struct CompiledMosfet {
 pub struct MnaSystem {
     num_nodes: usize,
     num_unknowns: usize,
-    pub(crate) resistors: Vec<CompiledResistor>,
-    pub(crate) capacitors: Vec<CompiledCapacitor>,
-    pub(crate) inductors: Vec<CompiledInductor>,
-    pub(crate) mutuals: Vec<CompiledMutual>,
-    pub(crate) vsources: Vec<CompiledVsource>,
-    pub(crate) isources: Vec<CompiledIsource>,
-    pub(crate) mosfets: Vec<CompiledMosfet>,
+    resistors: Vec<CompiledResistor>,
+    capacitors: Vec<CompiledCapacitor>,
+    inductors: Vec<CompiledInductor>,
+    mutuals: Vec<CompiledMutual>,
+    vsources: Vec<CompiledVsource>,
+    isources: Vec<CompiledIsource>,
+    mosfets: Vec<CompiledMosfet>,
 }
 
 impl MnaSystem {

@@ -113,12 +113,6 @@ impl EngineConfig {
             available_cpus()
         }
     }
-
-    /// [`EngineConfig::base_threads`] clamped to a known batch size — the
-    /// worker count a flat batch of `stages` independent stages warrants.
-    pub fn effective_threads(&self, stages: usize) -> usize {
-        self.base_threads().min(stages).max(1)
-    }
 }
 
 /// The process's available parallelism, queried once: the answer is a
@@ -377,16 +371,5 @@ mod tests {
             outcome,
             Err(crate::EngineError::DeadlineExceeded { .. })
         ));
-    }
-
-    #[test]
-    fn effective_threads_clamps_to_batch_size() {
-        let config = EngineConfig::builder().threads(8).build();
-        assert_eq!(config.effective_threads(3), 3);
-        assert_eq!(config.effective_threads(100), 8);
-        assert_eq!(config.effective_threads(0), 1);
-        // threads = 0 resolves to at least one worker.
-        let auto = EngineConfig::default();
-        assert!(auto.effective_threads(4) >= 1);
     }
 }

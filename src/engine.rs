@@ -239,7 +239,9 @@ impl TimingEngine {
     /// # Errors
     /// [`EngineError::InvalidStage`] when the stage has no variation plan or
     /// is dependent, [`EngineError::Unsupported`] when its load cannot be
-    /// revalued, or the first failing sample's analysis error.
+    /// revalued, [`EngineError::Lint`] (code `L041`) when a corner pushes a
+    /// revalued load element non-passive, or the first failing sample's
+    /// analysis error.
     pub fn analyze_distribution(&self, stage: &Stage) -> Result<DistributionReport, EngineError> {
         let mut reports = self.analyze_path_distribution(std::slice::from_ref(stage))?;
         Ok(reports.pop().expect("one report per stage"))

@@ -26,6 +26,7 @@ use crate::stage::{AggressorSpec, AggressorSwitching};
 use crate::variation::VariationSpec;
 use rlc_ceff::flow::{ReducedLoad, WaveParameters};
 use rlc_interconnect::{CoupledBus, RlcLine, RlcTree};
+use rlc_lint::{codes, Diagnostic};
 use rlc_moments::{tree_admittance_moments, PiModel, RationalAdmittance};
 use rlc_numeric::codec::{fnv1a, Encoder};
 use rlc_spice::circuit::{Circuit, NodeId};
@@ -125,13 +126,20 @@ pub trait LoadModel: std::fmt::Debug + Send + Sync {
     /// [`crate::TimingEngine::analyze_distribution`] revalues each variation
     /// sample through.
     ///
-    /// Returns `None` for loads that cannot be revalued — a moment-space
-    /// load, whose moments mix powers of R and C that one pair of scale
-    /// factors cannot untangle — which distribution analysis turns into a
-    /// typed [`EngineError::Unsupported`] instead of silently reusing the
-    /// nominal values.
-    fn scaled(&self, _spec: &VariationSpec) -> Option<Arc<dyn LoadModel>> {
-        None
+    /// Returns `Ok(None)` for loads that cannot be revalued — a
+    /// moment-space load, whose moments mix powers of R and C that one pair
+    /// of scale factors cannot untangle — which distribution analysis turns
+    /// into a typed [`EngineError::Unsupported`] instead of silently reusing
+    /// the nominal values.
+    ///
+    /// # Errors
+    /// The built-in loads return [`EngineError::Lint`] with one `L041`
+    /// diagnostic when the corner pushes an element value non-passive (a
+    /// scale that underflows a capacitance to zero or into the subnormal
+    /// range, say, although the spec itself is valid). The error's label is
+    /// empty: distribution analysis fills in the sample stage's label.
+    fn scaled(&self, _spec: &VariationSpec) -> Result<Option<Arc<dyn LoadModel>>, EngineError> {
+        Ok(None)
     }
 
     /// The load's interconnect topology as an [`RlcTree`], when it has one.
@@ -171,15 +179,58 @@ fn fingerprint_line(e: &mut Encoder, line: &RlcLine) {
     e.f64(line.length());
 }
 
+/// What an element value revalued by a variation corner must satisfy: the
+/// assertion of the constructor it is about to reach.
+#[derive(Debug, Clone, Copy)]
+enum Rule {
+    /// Resistances, inductances and shunt capacitances: finite, positive
+    /// and not subnormal. A netlist splits a line's totals into per-segment
+    /// values, and a subnormal total can round to a zero segment value that
+    /// the element constructors reject.
+    Positive,
+    /// Coupling and far-end load capacitances: finite and non-negative.
+    NonNegative,
+    /// A mutual inductance: finite, and its square below the product of the
+    /// two self inductances ([`CoupledBus::new`]'s check; a square that
+    /// overflows fails it).
+    MutualBelow(f64),
+}
+
+/// Returns `value`, an element value revalued by a variation corner, once it
+/// passes `rule`; otherwise [`EngineError::Lint`] with one `L041` diagnostic
+/// at `locus`. Every built-in [`LoadModel::scaled`] runs its values through
+/// this before constructing anything, so a corner that validates as a spec
+/// but underflows or overflows an element ends as a typed error instead of
+/// a constructor panic on the caller's thread.
+fn revalued(locus: &str, element: &str, value: f64, rule: Rule) -> Result<f64, EngineError> {
+    let passive = match rule {
+        Rule::Positive => value.is_normal() && value > 0.0,
+        Rule::NonNegative => value.is_finite() && value >= 0.0,
+        Rule::MutualBelow(product) => value.is_finite() && value * value < product,
+    };
+    if passive {
+        return Ok(value);
+    }
+    Err(EngineError::Lint {
+        label: String::new(),
+        diagnostics: vec![Diagnostic::error(
+            codes::VARIATION_NON_PASSIVE,
+            locus,
+            format!("variation corner pushed the {element} non-passive: {value:e}"),
+        )],
+    })
+}
+
 /// `line` with its total parasitics rescaled per `spec` (geometry is
 /// untouched: variation perturbs extracted values, not layout).
-fn scale_line(line: &RlcLine, spec: &VariationSpec) -> RlcLine {
-    RlcLine::new(
-        line.resistance() * spec.effective_r_scale(),
-        line.inductance() * spec.l_scale,
-        line.capacitance() * spec.c_scale,
+fn scale_line(line: &RlcLine, spec: &VariationSpec, locus: &str) -> Result<RlcLine, EngineError> {
+    let positive = |element: &str, value: f64| revalued(locus, element, value, Rule::Positive);
+    Ok(RlcLine::new(
+        positive("resistance", line.resistance() * spec.effective_r_scale())?,
+        positive("inductance", line.inductance() * spec.l_scale)?,
+        positive("capacitance", line.capacitance() * spec.c_scale)?,
         line.length(),
-    )
+    ))
 }
 
 /// The measurement points a load's netlist exposes after
@@ -239,10 +290,14 @@ impl LoadModel for LumpedCapLoad {
         Ok(near)
     }
 
-    fn scaled(&self, spec: &VariationSpec) -> Option<Arc<dyn LoadModel>> {
-        Some(Arc::new(LumpedCapLoad {
-            c: self.c * spec.c_scale,
-        }))
+    fn scaled(&self, spec: &VariationSpec) -> Result<Option<Arc<dyn LoadModel>>, EngineError> {
+        let c = revalued(
+            "lumped load",
+            "capacitance",
+            self.c * spec.c_scale,
+            Rule::Positive,
+        )?;
+        Ok(Some(Arc::new(LumpedCapLoad { c })))
     }
 
     fn cache_fingerprint(&self) -> Option<u64> {
@@ -333,14 +388,15 @@ impl LoadModel for PiModelLoad {
         Ok(far)
     }
 
-    fn scaled(&self, spec: &VariationSpec) -> Option<Arc<dyn LoadModel>> {
-        Some(Arc::new(PiModelLoad {
-            pi: PiModel {
-                c_near: self.pi.c_near * spec.c_scale,
-                resistance: self.pi.resistance * spec.effective_r_scale(),
-                c_far: self.pi.c_far * spec.c_scale,
-            },
-        }))
+    fn scaled(&self, spec: &VariationSpec) -> Result<Option<Arc<dyn LoadModel>>, EngineError> {
+        let value = |element: &str, v: f64, rule| revalued("pi load", element, v, rule);
+        let (r, c) = (spec.effective_r_scale(), spec.c_scale);
+        let pi = PiModel {
+            c_near: value("near capacitance", self.pi.c_near * c, Rule::NonNegative)?,
+            resistance: value("resistance", self.pi.resistance * r, Rule::Positive)?,
+            c_far: value("far capacitance", self.pi.c_far * c, Rule::Positive)?,
+        };
+        Ok(Some(Arc::new(PiModelLoad { pi })))
     }
 
     fn cache_fingerprint(&self) -> Option<u64> {
@@ -427,11 +483,16 @@ impl LoadModel for DistributedRlcLoad {
         Some(RlcTree::single_line(self.line, self.c_load))
     }
 
-    fn scaled(&self, spec: &VariationSpec) -> Option<Arc<dyn LoadModel>> {
-        Some(Arc::new(DistributedRlcLoad {
-            line: scale_line(&self.line, spec),
-            c_load: self.c_load * spec.c_scale,
-        }))
+    fn scaled(&self, spec: &VariationSpec) -> Result<Option<Arc<dyn LoadModel>>, EngineError> {
+        Ok(Some(Arc::new(DistributedRlcLoad {
+            line: scale_line(&self.line, spec, "line")?,
+            c_load: revalued(
+                "line",
+                "far-end load capacitance",
+                self.c_load * spec.c_scale,
+                Rule::NonNegative,
+            )?,
+        })))
     }
 
     fn cache_fingerprint(&self) -> Option<u64> {
@@ -564,19 +625,26 @@ impl LoadModel for RlcTreeLoad {
         Some(self.tree.clone())
     }
 
-    fn scaled(&self, spec: &VariationSpec) -> Option<Arc<dyn LoadModel>> {
+    fn scaled(&self, spec: &VariationSpec) -> Result<Option<Arc<dyn LoadModel>>, EngineError> {
         // Rebuild in branch order: `add_branch` appends, so the i-th old
         // branch maps onto the i-th new id and parent links carry over.
         let mut tree = RlcTree::new();
         let mut ids = Vec::with_capacity(self.tree.num_branches());
-        for (_, branch) in self.tree.branches() {
+        for (id, branch) in self.tree.branches() {
             let parent = branch.parent().map(|p| ids[p.index()]);
-            ids.push(tree.add_branch(parent, scale_line(branch.line(), spec)));
+            let line = scale_line(branch.line(), spec, &format!("branch {}", id.index()))?;
+            ids.push(tree.add_branch(parent, line));
         }
         for (id, sink) in self.tree.sinks() {
-            tree.set_sink(ids[id.index()], &sink.name, sink.c_load * spec.c_scale);
+            let c_load = revalued(
+                &sink.name,
+                "sink load capacitance",
+                sink.c_load * spec.c_scale,
+                Rule::NonNegative,
+            )?;
+            tree.set_sink(ids[id.index()], &sink.name, c_load);
         }
-        Some(Arc::new(RlcTreeLoad { tree }))
+        Ok(Some(Arc::new(RlcTreeLoad { tree })))
     }
 
     fn cache_fingerprint(&self) -> Option<u64> {
@@ -758,23 +826,34 @@ impl LoadModel for CoupledBusLoad {
         }))
     }
 
-    fn scaled(&self, spec: &VariationSpec) -> Option<Arc<dyn LoadModel>> {
+    fn scaled(&self, spec: &VariationSpec) -> Result<Option<Arc<dyn LoadModel>>, EngineError> {
+        let victim = scale_line(self.bus.victim(), spec, "bus victim")?;
+        let aggressor = scale_line(self.bus.aggressor(), spec, "bus aggressor")?;
+        let capacitance =
+            |element: &str, c: f64| revalued("bus", element, c * spec.c_scale, Rule::NonNegative);
+        let mutual = revalued(
+            "bus",
+            "mutual inductance",
+            self.bus.mutual_inductance() * spec.l_scale,
+            Rule::MutualBelow(victim.inductance() * aggressor.inductance()),
+        )?;
+        let bus = CoupledBus::new(
+            victim,
+            aggressor,
+            capacitance("coupling capacitance", self.bus.coupling_capacitance())?,
+            mutual,
+            capacitance("victim load capacitance", self.bus.victim_load())?,
+            capacitance("aggressor load capacitance", self.bus.aggressor_load())?,
+        );
         // The aggressor rail tracks the victim supply, so its swing scales
         // with the same source factor.
-        Some(Arc::new(CoupledBusLoad {
-            bus: CoupledBus::new(
-                scale_line(self.bus.victim(), spec),
-                scale_line(self.bus.aggressor(), spec),
-                self.bus.coupling_capacitance() * spec.c_scale,
-                self.bus.mutual_inductance() * spec.l_scale,
-                self.bus.victim_load() * spec.c_scale,
-                self.bus.aggressor_load() * spec.c_scale,
-            ),
+        Ok(Some(Arc::new(CoupledBusLoad {
+            bus,
             aggressor: AggressorSpec {
                 amplitude: self.aggressor.amplitude * spec.source_scale,
                 ..self.aggressor
             },
-        }))
+        })))
     }
 
     fn cache_fingerprint(&self) -> Option<u64> {
@@ -1163,7 +1242,7 @@ mod tests {
 
         // Lumped: capacitance only.
         let lumped = LumpedCapLoad::new(ff(200.0)).unwrap();
-        let scaled = lumped.scaled(&spec).unwrap();
+        let scaled = lumped.scaled(&spec).unwrap().unwrap();
         assert!((scaled.total_capacitance() - 1.1 * 200e-15).abs() < 1e-27);
 
         // Pi: R by the (temperature-adjusted) resistance scale, C by c_scale.
@@ -1173,13 +1252,13 @@ mod tests {
             c_far: 0.9e-12,
         })
         .unwrap();
-        let scaled = pi.scaled(&spec).unwrap();
+        let scaled = pi.scaled(&spec).unwrap().unwrap();
         assert!((scaled.total_capacitance() - 1.1 * 1.1e-12).abs() < 1e-24);
 
         // Line: every class, load included; geometry untouched.
         let line = RlcLine::new(72.44, nh(5.14), pf(1.10), mm(5.0));
         let load = DistributedRlcLoad::new(line, ff(10.0)).unwrap();
-        let scaled = load.scaled(&spec).unwrap();
+        let scaled = load.scaled(&spec).unwrap().unwrap();
         let tree = scaled.tree_topology().unwrap();
         let (scaled_line, c_load) = tree.as_single_line().map(|(l, c)| (*l, c)).unwrap();
         assert!((scaled_line.resistance() - 72.44 * r_eff).abs() < 1e-9);
@@ -1198,7 +1277,7 @@ mod tests {
         t.set_sink(l, "rx0", ff(15.0));
         t.set_sink(r, "rx1", ff(25.0));
         let tree_load = RlcTreeLoad::new(t).unwrap();
-        let scaled = tree_load.scaled(&spec).unwrap();
+        let scaled = tree_load.scaled(&spec).unwrap().unwrap();
         assert_eq!(scaled.sink_names(), tree_load.sink_names());
         let st = scaled.tree_topology().unwrap();
         assert_eq!(st.num_branches(), 3);
@@ -1207,7 +1286,7 @@ mod tests {
         // Bus: coupling C, mutual L and the aggressor amplitude all scale.
         let bus = CoupledBus::symmetric(line, pf(0.4), nh(1.0), ff(10.0));
         let bus_load = CoupledBusLoad::new(bus, AggressorSpec::quiet(1.8).unwrap()).unwrap();
-        let scaled = bus_load.scaled(&spec).unwrap();
+        let scaled = bus_load.scaled(&spec).unwrap().unwrap();
         // Quiet aggressor -> Miller factor 1: effective C = line C + cc, and
         // every term scales by c_scale.
         assert!((scaled.total_capacitance() - 1.1 * bus_load.total_capacitance()).abs() < 1e-24);
@@ -1216,7 +1295,7 @@ mod tests {
         // Temperature feeds the resistance scale.
         let hot = VariationSpec::nominal().with_temperature_delta(100.0);
         assert!(hot.effective_r_scale() > 1.0);
-        let hot_line = load.scaled(&hot).unwrap().tree_topology().unwrap();
+        let hot_line = load.scaled(&hot).unwrap().unwrap().tree_topology().unwrap();
         let (hl, _) = hot_line.as_single_line().unwrap();
         assert!((hl.resistance() - 72.44 * hot.effective_r_scale()).abs() < 1e-9);
 
@@ -1224,6 +1303,7 @@ mod tests {
         assert!(MomentsLoad::new(vec![1e-12, -1e-23])
             .unwrap()
             .scaled(&spec)
+            .unwrap()
             .is_none());
     }
 

@@ -302,21 +302,30 @@ impl Stage {
     /// supply and on-resistance rescaled, the load revalued through
     /// [`crate::LoadModel::scaled`], and the label suffixed with the sample
     /// index. The sample stage carries no variation plan (and no ordering
-    /// dependencies) of its own.
+    /// dependencies) of its own. A load the corner pushes non-passive is
+    /// the load's `L041` [`EngineError::Lint`], labelled with the sample.
     pub(crate) fn with_sample(
         &self,
         spec: &VariationSpec,
         index: usize,
     ) -> Result<Stage, EngineError> {
-        let load = self.load.scaled(spec).ok_or_else(|| {
-            EngineError::unsupported(format!(
-                "stage '{}': its load cannot be revalued for variation analysis: {}",
-                self.label,
-                self.load.describe()
-            ))
-        })?;
+        let label = format!("{}@s{index}", self.label);
+        let load = match self.load.scaled(spec) {
+            Ok(Some(load)) => load,
+            Ok(None) => {
+                return Err(EngineError::unsupported(format!(
+                    "stage '{}': its load cannot be revalued for variation analysis: {}",
+                    self.label,
+                    self.load.describe()
+                )))
+            }
+            Err(EngineError::Lint { diagnostics, .. }) => {
+                return Err(EngineError::Lint { label, diagnostics })
+            }
+            Err(e) => return Err(e),
+        };
         let mut sample = self.clone();
-        sample.label = format!("{}@s{index}", self.label);
+        sample.label = label;
         sample.driver = scaled_driver(&self.driver, spec);
         sample.load = load;
         sample.variation = Vec::new();

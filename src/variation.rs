@@ -4,14 +4,15 @@
 //! A [`crate::Stage`] can carry a *variation plan* — explicit process corners
 //! ([`crate::StageBuilder::corners`]) and/or seeded Monte-Carlo draws
 //! ([`crate::StageBuilder::monte_carlo`]). Each plan entry is a
-//! [`VariationSpec`] (the same spec type the `rlc-spice` batched
-//! [`crate::spice::VariationSweep`] kernel consumes): per-element-class R/L/C
-//! scale factors, a supply scale, and a temperature shift.
+//! [`VariationSpec`] (re-exported from `rlc_spice::sweep`): per-element-class
+//! R/L/C scale factors, a supply scale, and a temperature shift.
 //! [`crate::TimingEngine::analyze_distribution`] materializes one scaled
 //! stage per sample — driver supply and on-resistance rescaled, load revalued
 //! through [`crate::LoadModel::scaled`] — schedules every sample across an
-//! [`crate::AnalysisSession`]'s worker loops, and reduces the per-sample
-//! reports into a [`DistributionReport`].
+//! [`crate::AnalysisSession`]'s worker loops as a stage of its own, and
+//! reduces the per-sample reports into a [`DistributionReport`]. A corner
+//! that pushes a revalued load element non-passive ends the analysis with an
+//! `L041` [`EngineError::Lint`] before that sample is submitted.
 //!
 //! Sampling is fully deterministic: Monte-Carlo draws are generated from the
 //! seed with [`rlc_numeric::Rng`] at stage-build time, and aggregation walks

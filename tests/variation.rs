@@ -6,11 +6,14 @@
 use std::sync::Arc;
 
 use rlc_ceff_suite::charlib::DriverCell;
-use rlc_ceff_suite::interconnect::{RlcLine, RlcTree};
+use rlc_ceff_suite::interconnect::{CoupledBus, RlcLine, RlcTree};
+use rlc_ceff_suite::lint::codes;
+use rlc_ceff_suite::moments::PiModel;
 use rlc_ceff_suite::numeric::units::{ff, mm, nh, pf, ps};
 use rlc_ceff_suite::{
-    BackendChoice, DistributedRlcLoad, EngineConfig, EngineError, MomentsLoad, ReducedOrderBackend,
-    RlcTreeLoad, Stage, TimingEngine, VariationModel, VariationSpec,
+    AggressorSpec, BackendChoice, CoupledBusLoad, DistributedRlcLoad, EngineConfig, EngineError,
+    LoadModel, LumpedCapLoad, MomentsLoad, PiModelLoad, ReducedOrderBackend, RlcTreeLoad, Stage,
+    TimingEngine, VariationModel, VariationSpec,
 };
 
 mod common;
@@ -322,5 +325,74 @@ fn variation_plan_validation_and_unsupported_loads() {
             assert!(what.contains("revalued"), "got: {what}")
         }
         other => panic!("expected Unsupported, got {other:?}"),
+    }
+
+    // A zero supply scale is no corner: rejected at build time (L040).
+    let err = Stage::builder(
+        synthetic_cell(75.0, 70.0),
+        DistributedRlcLoad::new(rc_line(), ff(10.0)).unwrap(),
+    )
+    .input_slew(ps(100.0))
+    .corners([VariationSpec::nominal().with_source_scale(0.0)])
+    .build()
+    .unwrap_err();
+    let message = err.to_string();
+    assert!(
+        message.contains("L040") && message.contains("source_scale"),
+        "{message}"
+    );
+
+    // Corners that pass L040 but underflow or overflow a revalued element:
+    // an L041 lint error for every built-in netlist load, never a panic.
+    let line = rc_line();
+    let mut tree = RlcTree::new();
+    let trunk = tree.add_branch(None, line);
+    let stub = tree.add_branch(Some(trunk), line);
+    tree.set_sink(stub, "rx", ff(10.0));
+    let bus = CoupledBusLoad::new(
+        CoupledBus::symmetric(line, pf(0.2), nh(0.2), ff(10.0)),
+        AggressorSpec::quiet(1.8).unwrap(),
+    )
+    .unwrap();
+    let pi = PiModel {
+        c_near: ff(100.0),
+        resistance: 120.0,
+        c_far: ff(400.0),
+    };
+    let underflow = VariationSpec::nominal().with_c_scale(1e-320);
+    // A line capacitance left subnormal: positive, but its per-segment split
+    // rounds to zero.
+    let subnormal = VariationSpec::nominal().with_c_scale(1e-310);
+    let line: Arc<dyn LoadModel> = Arc::new(DistributedRlcLoad::new(line, ff(10.0)).unwrap());
+    let tree: Arc<dyn LoadModel> = Arc::new(RlcTreeLoad::new(tree).unwrap());
+    let bus: Arc<dyn LoadModel> = Arc::new(bus);
+    let cases: Vec<(Arc<dyn LoadModel>, VariationSpec)> = vec![
+        (Arc::new(LumpedCapLoad::new(ff(200.0)).unwrap()), underflow),
+        (Arc::new(PiModelLoad::new(pi).unwrap()), underflow),
+        (line.clone(), underflow),
+        (line, subnormal),
+        (tree.clone(), underflow),
+        (tree, subnormal),
+        (bus.clone(), underflow),
+        (bus.clone(), subnormal),
+        (bus, VariationSpec::nominal().with_l_scale(1e300)),
+    ];
+    for (load, corner) in cases {
+        assert!(corner.validate().is_ok(), "{corner:?} is a valid spec");
+        let what = load.describe();
+        let stage = Stage::builder_shared(synthetic_cell(75.0, 70.0).into(), load)
+            .label("corner")
+            .input_slew(ps(100.0))
+            .corners([corner])
+            .build()
+            .unwrap();
+        match engine.analyze_distribution(&stage) {
+            Err(EngineError::Lint { label, diagnostics }) => {
+                assert_eq!(label, "corner@s0", "{what}");
+                assert_eq!(diagnostics.len(), 1, "{what}: {diagnostics:?}");
+                assert_eq!(diagnostics[0].code, codes::VARIATION_NON_PASSIVE, "{what}");
+            }
+            other => panic!("{what} at {corner:?}: expected an L041 lint, got {other:?}"),
+        }
     }
 }
